@@ -129,13 +129,9 @@ def _sub_scaled(f, pos, g, u, c, key):
     return out
 
 
-def _normal_form_internal(f, basis, lts, key, sugars=None, fsugar=0):
-    """Fully reduce f by the monic basis; return the pair (remainder, sugar).
-
-    The remainder is a sorted triple list.  The sugar degree is tracked only
-    when sugars (one entry per basis element) is given; otherwise the second
-    entry is fsugar unchanged and means nothing.
-    """
+def _normal_form_internal(f, basis, lts, key):
+    """Fully reduce f by the monic basis; the remainder is a sorted triple
+    list."""
     out = []
     work = f
     pos = 0
@@ -152,11 +148,9 @@ def _normal_form_internal(f, basis, lts, key, sugars=None, fsugar=0):
             pos += 1
             continue
         u = tuple(a - b for a, b in zip(t, lts[ri]))
-        if sugars is not None:
-            fsugar = max(fsugar, sugars[ri] + sum(u))
         work = _sub_scaled(work, pos, basis[ri], u, work[pos][2], key)
         pos = 0
-    return out, fsugar
+    return out
 
 
 def _spoly(f, g, lt_f, lt_g, key):
@@ -207,7 +201,7 @@ def _interreduce(G, lts, key):
     for i in sorted(range(len(G)), key=lambda i: key(lts[i])):
         others = [G[j] for j in range(len(G)) if j != i]
         olts = [lts[j] for j in range(len(G)) if j != i]
-        G[i], _ = _normal_form_internal(G[i], others, olts, key)
+        G[i] = _normal_form_internal(G[i], others, olts, key)
     return G
 
 
@@ -236,16 +230,13 @@ class GBResult:
         return normal_form(f, self.basis, self.ordering).is_zero()
 
 
-def buchberger(gens, ordering, limit=DEFAULT_STEP_LIMIT, strategy="normal"):
+def buchberger(gens, ordering, limit=DEFAULT_STEP_LIMIT):
     """Reduced Groebner basis of the ideal generated by gens.
 
     Counts one step per S-polynomial reduction; when the budget runs out the
     result carries status "aborted" and the current (minimalized,
-    interreduced) partial basis.  strategy picks the pair order: "normal"
-    (degree of the lcm, then the ordering) or "sugar".
+    interreduced) partial basis.
     """
-    if strategy not in ("normal", "sugar"):
-        raise ValueError(f"unknown selection strategy {strategy!r}")
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         return GBResult([], ordering, "complete", 0)
@@ -257,26 +248,13 @@ def buchberger(gens, ordering, limit=DEFAULT_STEP_LIMIT, strategy="normal"):
 
     G = []
     lts = []
-    sugars = []
     P = set()
     for g in gens:
         P = _gm_update(G, lts, P, _monic(_prep(g, key)), key)
-        sugars.append(g.total_degree())
 
-    def pair_sugar(i, j):
-        L = tlcm(lts[i], lts[j])
-        d = tdeg(L)
-        return max(sugars[i] + d - tdeg(lts[i]),
-                   sugars[j] + d - tdeg(lts[j]))
-
-    if strategy == "sugar":
-        def pair_key(ij):
-            L = tlcm(lts[ij[0]], lts[ij[1]])
-            return (pair_sugar(*ij), key(L), ij)
-    else:
-        def pair_key(ij):
-            L = tlcm(lts[ij[0]], lts[ij[1]])
-            return (tdeg(L), key(L), ij)
+    def pair_key(ij):
+        L = tlcm(lts[ij[0]], lts[ij[1]])
+        return (tdeg(L), key(L), ij)
 
     steps = 0
     aborted = False
@@ -289,11 +267,9 @@ def buchberger(gens, ordering, limit=DEFAULT_STEP_LIMIT, strategy="normal"):
         i, j = pair
         steps += 1
         s = _spoly(G[i], G[j], lts[i], lts[j], key)
-        h, hsugar = _normal_form_internal(s, G, lts, key, sugars,
-                                          pair_sugar(i, j))
+        h = _normal_form_internal(s, G, lts, key)
         if h:
             P = _gm_update(G, lts, P, _monic(h), key)
-            sugars.append(hsugar)
 
     G, lts = _minimalize(G, lts, key)
     G = _interreduce(G, lts, key)
@@ -316,8 +292,8 @@ def normal_form(f, basis, ordering):
     key = _memo_key(ordering)
     prepped = [_monic(_prep(g, key)) for g in basis]
     lts = [g[0][1] for g in prepped]
-    rem, _ = _normal_form_internal(_prep(f, key), prepped, lts, key)
-    return _unprep(f.ring, rem)
+    return _unprep(f.ring, _normal_form_internal(_prep(f, key), prepped, lts,
+                                                 key))
 
 
 # ---------- separating tuples ----------

@@ -187,7 +187,8 @@ def _run_gfan(spec):
         "gbs": [[[m, s] for m, s in gb.pair_strings()] for gb in fan],
     })
     lines = [f"{len(fan)} marked reduced bases:"]
-    lines += ["  " + str(gb) for gb in fan]
+    lines += ["  {" + ", ".join(f"({m}, {s})" for m, s in gbs) + "}"
+              for gbs in data["gbs"]]
     return Report(data, 0, "\n".join(lines) + "\n")
 
 

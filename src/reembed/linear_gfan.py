@@ -3,22 +3,20 @@
 For an ideal generated by independent linear forms with coefficient matrix A,
 the marked reduced Groebner bases correspond one-to-one with the non-vanishing
 maximal minors of A, i.e. with the bases of the linear matroid on the columns.
-Two enumeration backends sit behind one interface: exhaustive minors for small
-arity, and a basis-exchange search whose cost scales with the number of bases.
+The basis with marker columns B is the tableau T_B = A_B^(-1) A.  The fan is
+enumerated by one walk over the basis-exchange graph from the RREF seed:
+B - b_r + j is a basis exactly when T_B[r][j] != 0, and its tableau is T_B
+pivoted at (r, j), so no determinant and no per-cell solve is needed.
 """
 
 from __future__ import annotations
 
 import warnings
-from itertools import combinations
 
 from . import linalg
-from .field import QQ
+from .ordering import degrevlex
 from .poly import Poly, linear_part_of_ideal
 from .ring import tvar
-
-# columns above which gfan enumeration switches to basis-exchange search
-EXHAUSTIVE_COLUMN_LIMIT = 20
 
 
 class CoeffMatrix:
@@ -96,13 +94,21 @@ class MarkedReducedGB:
 
     def pair_strings(self):
         """Render each pair with its marker leading, mirroring the usual
-        marked-basis notation."""
-        from .ordering import elimination_for
-
+        marked-basis notation.  The marker's coefficient is 1, so its label
+        is followed by the rest of the form in degrevlex order, the default
+        of Poly.to_string."""
+        order = degrevlex(self.ring.n)
         out = []
         for m, f in self.pairs:
-            o = elimination_for(self.ring, [m])
-            out.append((self.ring.labels[m], f.to_string(o)))
+            label = self.ring.labels[m]
+            rest = (f - Poly.variable(self.ring, m)).to_string(order)
+            if rest == "0":
+                text = label
+            elif rest.startswith("-"):
+                text = f"{label} - {rest[1:]}"
+            else:
+                text = f"{label} + {rest}"
+            out.append((label, text))
         return out
 
     def __eq__(self, other):
@@ -134,6 +140,15 @@ def column_submatrix_rank_ok(A, idx):
     return linalg.rank(sub, A.ring.field) == len(idx)
 
 
+def _marked_gb(ring, markers, rows):
+    """The marked basis whose form with marker markers[r] has coefficients
+    rows[r]."""
+    pairs = [(m, Poly(ring, {tvar(ring.n, j): c
+                             for j, c in enumerate(row) if c}))
+             for m, row in zip(markers, rows)]
+    return MarkedReducedGB(ring, pairs)
+
+
 def reduced_gb_for_basis(A, idx):
     """The marked reduced GB whose markers are the columns idx.
 
@@ -145,82 +160,59 @@ def reduced_gb_for_basis(A, idx):
         raise ValueError("need exactly one column per row")
     sub = A.column_submatrix(idx)
     reduced = linalg.solve_left_inverse_times(sub, A.rows, A.ring.field)
-    ring = A.ring
-    pairs = []
-    for r, row in enumerate(reduced):
-        form = Poly(ring, {tvar(ring.n, j): c for j, c in enumerate(row) if c})
-        pairs.append((idx[r], form))
-    return MarkedReducedGB(ring, pairs)
+    return _marked_gb(A.ring, idx, reduced)
 
 
-def _seed_basis(A):
-    reduced, pivots = linalg.rref(A.rows, A.ring.field)
-    if len(reduced) != A.nrows:
-        raise ValueError("matrix rows are linearly dependent")
-    return pivots
+def _pivot(markers, rows, r, j):
+    """The tableau of markers - markers[r] + j: the tableau rows of markers
+    pivoted at (r, j), reordered by increasing marker."""
+    piv = rows[r][j]
+    prow = [x / piv for x in rows[r]]
+    out = []
+    for i, (m, row) in enumerate(zip(markers, rows)):
+        f = row[j]
+        if i == r:
+            out.append((j, prow))
+        elif f:
+            out.append((m, [a - f * b for a, b in zip(row, prow)]))
+        else:
+            out.append((m, row))
+    out.sort(key=lambda mr: mr[0])
+    return [row for _, row in out]
 
 
-def matroid_bases(A, method="auto", exhaustive_limit=EXHAUSTIVE_COLUMN_LIMIT):
-    """All column index tuples carrying a non-vanishing maximal minor.
+def _tableaux(A):
+    """Every basis of the column matroid of A, mapped to its tableau.
 
-    method "exhaustive" scans all C(n, s) minors; "exchange" walks the
-    basis-exchange graph from one seed basis, so its cost scales with the
-    number of bases.  "auto" picks by column count.
+    Keys are increasing column tuples B; the value holds the rows of
+    A_B^(-1) A, row r carrying the identity at column B[r].  The walk starts
+    at the RREF (the tableau of the leftmost basis) and reaches every basis,
+    because the basis-exchange graph is connected.
     """
-    n = A.ring.n
-    s = A.nrows
-    if s == 0:
-        return [()]
-    if method == "auto":
-        method = "exhaustive" if n <= exhaustive_limit else "exchange"
-    is_basis = _basis_tester(A)
-    if method == "exhaustive":
-        out = [idx for idx in combinations(range(n), s) if is_basis(idx)]
-        if not out:
-            raise ValueError("matrix rows are linearly dependent")
-        return out
-    if method != "exchange":
-        raise ValueError(f"unknown enumeration method {method!r}")
-
-    seed = _seed_basis(A)
-    seen = {seed}
-    rejected = set()
-    queue = [seed]
-    while queue:
-        basis = queue.pop()
-        inside = set(basis)
-        for i in basis:
-            for j in range(n):
-                if j in inside:
+    seed_rows, seed = linalg.rref(A.rows, A.ring.field)
+    if len(seed_rows) != A.nrows:
+        raise ValueError("matrix rows are linearly dependent")
+    cells = {seed: seed_rows}
+    stack = [seed]
+    while stack:
+        markers = stack.pop()
+        rows = cells[markers]
+        for r, row in enumerate(rows):
+            rest = markers[:r] + markers[r + 1:]
+            for j, x in enumerate(row):
+                if not x or j == markers[r]:
                     continue
-                cand = tuple(sorted((inside - {i}) | {j}))
-                if cand in seen or cand in rejected:
-                    continue
-                if is_basis(cand):
-                    seen.add(cand)
-                    queue.append(cand)
-                else:
-                    rejected.add(cand)
-    return sorted(seen)
+                key = tuple(sorted(rest + (j,)))
+                if key not in cells:
+                    cells[key] = _pivot(markers, rows, r, j)
+                    stack.append(key)
+    return cells
 
 
-def _basis_tester(A):
-    """Column-tuple predicate; rows pre-scaled to ints over the rationals."""
-    if A.ring.field == QQ:
-        ints = linalg.int_scaled_rows(A.rows)
-
-        def test(idx):
-            sub = [[row[j] for j in idx] for row in ints]
-            return linalg.bareiss_det_int(sub) != 0
-    else:
-        def test(idx):
-            sub = A.column_submatrix(idx)
-            return bool(linalg.det(sub, A.ring.field))
-    return test
-
-
-def _is_basis(A, idx):
-    return _basis_tester(A)(idx)
+def matroid_bases(A):
+    """All column index tuples carrying a non-vanishing maximal minor, in
+    lexicographic order."""
+    return sorted(_tableaux(A))
 
 
 def _prepare_matrix(forms, ring=None):
@@ -241,7 +233,7 @@ def _prepare_matrix(forms, ring=None):
     return A
 
 
-def gfan_linear(forms, ring=None, method="auto"):
+def gfan_linear(forms, ring=None):
     """The Groebner fan of the linear ideal spanned by the forms.
 
     One marked reduced GB per non-vanishing maximal minor, listed in
@@ -249,15 +241,10 @@ def gfan_linear(forms, ring=None, method="auto"):
     one-element fan containing the empty basis.
     """
     A = _prepare_matrix(forms, ring)
-    if A.nrows == 0:
-        return [MarkedReducedGB(A.ring, [])]
-    return [reduced_gb_for_basis(A, idx)
-            for idx in matroid_bases(A, method=method)]
+    cells = _tableaux(A)
+    return [_marked_gb(A.ring, idx, cells[idx]) for idx in sorted(cells)]
 
 
-def ltgfan_linear(forms, ring=None, method="auto"):
+def ltgfan_linear(forms, ring=None):
     """Leading-term fan: the marker sets of gfan_linear, same order."""
-    A = _prepare_matrix(forms, ring)
-    if A.nrows == 0:
-        return [frozenset()]
-    return [frozenset(idx) for idx in matroid_bases(A, method=method)]
+    return [frozenset(idx) for idx in matroid_bases(_prepare_matrix(forms, ring))]

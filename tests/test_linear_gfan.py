@@ -1,4 +1,4 @@
-"""Linear Groebner fan: minors, marked bases, matroid backends."""
+"""Linear Groebner fan: minors, marked bases, matroid bases."""
 
 import random
 from fractions import Fraction
@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 
 from reembed.linalg import rref
+from reembed.field import PrimeField
 from reembed.linear_gfan import (
     CoeffMatrix,
     MarkedReducedGB,
@@ -16,6 +17,7 @@ from reembed.linear_gfan import (
     matroid_bases,
     reduced_gb_for_basis,
 )
+from reembed.ordering import elimination_for
 from reembed.parse import parse_poly, parse_ring
 from reembed.poly import Poly
 from reembed.ring import Ring, tvar
@@ -131,8 +133,33 @@ class TestMatroidBases:
         for _ in range(8):
             A = random_full_rank_matrix(rng, 3, 7)
             expect = oracle_bases(A)
-            assert matroid_bases(A, method="exhaustive") == expect
-            assert matroid_bases(A, method="exchange") == expect
+            assert matroid_bases(A) == expect
+
+    def test_prime_field_fan(self):
+        # columns (a, b, c) have minor 7: nonzero over QQ, zero mod 7;
+        # d is a zero column and e is parallel to b
+        rows = [[1, 0, 1, 0, 0, 1, 2],
+                [0, 1, 2, 0, 3, 1, 5],
+                [0, 0, 7, 0, 0, 1, 3]]
+        assert laplace_det([row[:3] for row in rows]) == 7
+        expect = [idx for idx in combinations(range(7), 3)
+                  if laplace_det([[row[j] for j in idx] for row in rows]) % 7]
+        ring = parse_ring("ring a, b, c, d, e, f, g mod 7;")
+        A = CoeffMatrix(ring, rows)
+        bases = matroid_bases(A)
+        assert bases == expect
+        assert (0, 1, 2) not in bases
+        assert (0, 1, 2) in matroid_bases(CoeffMatrix(Ring(ring.labels), rows))
+        assert all(3 not in idx and not {1, 4} <= set(idx) for idx in bases)
+        base_rref = rref(A.rows, ring.field)
+        fan = gfan_linear([A.form(i) for i in range(3)])
+        assert [gb.markers for gb in fan] == bases
+        for gb in fan:
+            B = CoeffMatrix.from_forms(gb.forms, ring)
+            for r, m in enumerate(gb.markers):
+                assert [row[m] for row in B.rows] == [int(i == r)
+                                                       for i in range(3)]
+            assert rref(B.rows, ring.field) == base_rref
 
     def test_rank_deficient_rejected(self):
         ring = Ring("abc")
@@ -223,6 +250,30 @@ class TestLtgfan:
             assert len(fan) == len(lt) == len(bases)
             assert [gb.marker_set for gb in fan] == lt
             assert [tuple(sorted(s)) for s in lt] == list(bases)
+
+
+def test_pair_strings_match_elimination_rendering():
+    # the marker-first text equals the form printed under an elimination
+    # ordering for its marker
+    rng = random.Random(36)
+    fields = [None, PrimeField(5), PrimeField(101)]
+    for trial in range(12):
+        field = fields[trial % 3]
+        n = rng.randint(3, 7)
+        r = rng.randint(1, min(4, n))
+        labels = [f"x{i}" for i in range(n)]
+        ring = Ring(labels) if field is None else Ring(labels, field)
+        while True:
+            rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                     if field is None else rng.randint(-5, 5)
+                     for _ in range(n)] for _ in range(r)]
+            A = CoeffMatrix(ring, rows)
+            if A.row_rank() == r:
+                break
+        for gb in gfan_linear([A.form(i) for i in range(r)]):
+            expect = [(ring.labels[m], f.to_string(elimination_for(ring, [m])))
+                      for m, f in gb.pairs]
+            assert gb.pair_strings() == expect
 
 
 def test_reduced_gb_for_basis_rejects_singular(A24):
