@@ -135,6 +135,8 @@ class BorderBasisScheme:
         self.cring = Ring(labels, field)
         self.rim_positions, self.interior_positions = rim_interior(O)
         self._matcols = [self._columns(k) for k in range(self.nvars)]
+        self._generators = None
+        self._classes = None
 
     # ---------- indeterminates and grading ----------
 
@@ -259,7 +261,11 @@ class BorderBasisScheme:
         return [left[m] - right[m] for m in range(self.mu)]
 
     def neighbour_generators(self):
-        """All nonzero relation entries, with their provenance."""
+        """All nonzero relation entries, with their provenance.
+
+        Builds them anew on every call; the scheme's own users read the
+        copy kept in ``generators``.
+        """
         out = []
         for j, jp, ell in self.next_door_pairs():
             tup = self.nd_tuple(j, jp, ell)
@@ -275,9 +281,16 @@ class BorderBasisScheme:
                                                   (k, ell, parent), p))
         return out
 
+    @property
+    def generators(self):
+        """The neighbour generators as a tuple, built on first use only."""
+        if self._generators is None:
+            self._generators = tuple(self.neighbour_generators())
+        return self._generators
+
     def defining_ideal(self):
         """Generators of the scheme's vanishing ideal in K[C]."""
-        return [g.poly for g in self.neighbour_generators()]
+        return [g.poly for g in self.generators]
 
     def dimension(self):
         return self.mu * self.nvars
@@ -303,8 +316,11 @@ class BorderBasisScheme:
     # ---------- cotangent view ----------
 
     def cotangent(self):
-        lin = linear_part_of_ideal(self.defining_ideal())
-        return cotangent_classes(lin, self.cring)
+        """Cotangent classes of the defining ideal, computed once."""
+        if self._classes is None:
+            lin = linear_part_of_ideal(self.defining_ideal())
+            self._classes = cotangent_classes(lin, self.cring)
+        return self._classes
 
     # ---------- structural verification ----------
 
@@ -367,7 +383,7 @@ class BorderBasisScheme:
             "proper_contain_rim": True,
         }
         failures = []
-        gens = self.neighbour_generators()
+        gens = self.generators
         rim_cols = self.rim_cvar_indices()
 
         for g in gens:

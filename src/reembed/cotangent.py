@@ -14,6 +14,7 @@ from __future__ import annotations
 from itertools import product
 
 from . import linalg
+from .poly import linear_row
 from .ring import tvar
 
 
@@ -92,7 +93,7 @@ def _reduced_rows(lin_basis, ring):
         if not f.is_linear_form() and not f.is_zero():
             raise ValueError(f"not a linear form: {f}")
         if f:
-            rows.append([f.coefficient(tvar(ring.n, i)) for i in range(ring.n)])
+            rows.append(linear_row(f))
     if not rows:
         return [], ()
     return linalg.rref(rows, ring.field)

@@ -228,7 +228,7 @@ def _run_cotangent(spec):
     return Report(data, 0, "\n".join(lines) + "\n")
 
 
-def _result_data(res, with_certificate=True):
+def _result_data(res):
     labels = res.ring.labels
     out = {
         "Z": [labels[i] for i in res.Z],
@@ -239,16 +239,15 @@ def _result_data(res, with_certificate=True):
         "optimal": res.optimal,
         "affine_cell": res.affine_cell,
     }
-    if with_certificate and res.certificate is not None:
+    if res.certificate is not None:
         o = res.certificate.ordering
         out["certificate"] = [g.to_string(o) for g in res.certificate.basis]
     return out
 
 
-def _run_reembed(spec, gens=None, meta=None):
-    gens = gens if gens is not None else spec.polys
-    data = _meta(spec) if meta is None else dict(meta)
-    data["algorithm"] = spec.alg
+def _search(spec):
+    """Run the job's candidate search on its polys; certify every result."""
+    gens = spec.polys
     if spec.alg == "cotangent" or spec.all_results:
         report = find_reembedding_via_cotangent(
             gens, optimal_only=spec.optimal_only, limit=spec.budget)
@@ -260,6 +259,13 @@ def _run_reembed(spec, gens=None, meta=None):
         cell = certify_affine_cell(res, gens, limit=spec.budget)
         if cell is not None:
             res.affine_cell = cell
+    return report
+
+
+def _run_reembed(spec):
+    report = _search(spec)
+    data = _meta(spec)
+    data["algorithm"] = spec.alg
     labels = spec.ring.labels
     data.update({
         "status": report.status,
@@ -328,14 +334,14 @@ def _run_bbs(spec):
         sub = JobSpec(command="reembed", ring=scheme.cring, polys=gens,
                       budget=spec.budget, threads=spec.threads,
                       alg="cotangent", optimal_only=spec.optimal_only)
-        inner = _run_reembed(sub, gens=gens, meta={})
+        inner = _search(sub)
         summary = {
-            "status": inner.data["status"],
-            "count": len(inner.data["results"]),
+            "status": inner.status,
+            "count": len(inner.results),
             "results": [
-                {"Z": r["Z"], "Y": r["Y"], "optimal": r["optimal"],
-                 "affine_cell": r["affine_cell"]}
-                for r in inner.data["results"]],
+                {"Z": list(r.z_labels()), "Y": list(r.y_labels()),
+                 "optimal": r.optimal, "affine_cell": r.affine_cell}
+                for r in inner.results],
         }
         data["reembed"] = summary
         lines.append(f"re-embedding search: {summary['status']}, "
@@ -344,6 +350,6 @@ def _run_bbs(spec):
             lines.append("  Z = (" + ", ".join(r["Z"]) + ") optimal="
                          + str(r["optimal"]) + " affine_cell="
                          + str(r["affine_cell"]))
-        if inner.exit_code:
-            exit_code = inner.exit_code
+        if inner.status == "inconclusive":
+            exit_code = 2
     return Report(data, exit_code, "\n".join(lines) + "\n")

@@ -1,10 +1,14 @@
-"""Exact dense linear algebra on small matrices.
+"""Exact linear algebra on small matrices.
 
 Rank and determinant work over the rationals goes through fraction-free
 Bareiss elimination on integer-scaled rows, which keeps intermediate entries
 as single big ints instead of rationals with growing denominators.  The
-canonical reduced row echelon form is plain Gauss-Jordan over the field and
-is deterministic: pivots are chosen leftmost in column order.
+canonical reduced row echelon form is incremental Gauss-Jordan over the field
+on sparse rows ({column: value} for the nonzeros), so its cost is set by the
+nonzeros rather than by the column count: the linear parts it reduces are
+often binomial rows in rings of hundreds of indeterminates.  The RREF of a
+row space is unique, so the result does not depend on the order in which
+rows are taken.
 """
 
 from __future__ import annotations
@@ -23,34 +27,57 @@ def rref(rows, field=QQ):
 
     Returns (reduced nonzero rows, pivot column tuple).  Pivot columns are
     the leftmost possible; pivot entries are 1 and their columns are cleared.
+    Rows come in and go out dense; the elimination keeps them sparse.
     """
-    m = [[field.of(x) for x in row] for row in rows]
-    if not m:
+    if not rows:
         return [], ()
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
+    ncols = len(rows[0])
+    of = field.of
+    reduced = {}    # pivot column -> its row, 1 at the pivot, 0 at the others
+    for row in rows:
+        v = {}
+        for c, x in enumerate(row):
+            if x:
+                x = of(x)    # a string such as "0" is truthy until coerced
+                if x:
+                    v[c] = x
+        # a reduced row is zero at every other pivot column, so subtracting
+        # it clears its own pivot column of v and touches no other pivot
+        for p in [c for c in v if c in reduced]:
+            _sub_multiple(v, v[p], reduced[p])
+        if not v:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
+        p = min(v)
+        pv = v[p]
         if pv != 1:
-            m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], tuple(pivots)
+            v = {c: x / pv for c, x in v.items()}
+        for w in reduced.values():
+            if p in w:
+                _sub_multiple(w, w[p], v)
+        reduced[p] = v
+    pivots = tuple(sorted(reduced))
+    zero = field.zero()
+    out = []
+    for p in pivots:
+        dense = [zero] * ncols
+        for c, x in reduced[p].items():
+            dense[c] = x
+        out.append(dense)
+    return out, pivots
+
+
+def _sub_multiple(v, f, w):
+    """v -= f * w on sparse rows, dropping the entries that cancel."""
+    for c, x in w.items():
+        y = v.get(c)
+        if y is None:
+            v[c] = -(f * x)
+        else:
+            y = y - f * x
+            if y:
+                v[c] = y
+            else:
+                del v[c]
 
 
 def int_scaled_rows(rows):

@@ -14,8 +14,7 @@ from __future__ import annotations
 import warnings
 
 from . import linalg
-from .ordering import degrevlex
-from .poly import Poly, linear_part_of_ideal
+from .poly import Poly, linear_part_of_ideal, linear_row
 from .ring import tvar
 
 
@@ -44,7 +43,7 @@ class CoeffMatrix:
                 raise ValueError("forms from different rings")
             if not f.is_linear_form():
                 raise ValueError(f"not a linear form: {f}")
-            rows.append([f.coefficient(tvar(ring.n, i)) for i in range(ring.n)])
+            rows.append(linear_row(f))
         return cls(ring, rows)
 
     @property
@@ -97,11 +96,10 @@ class MarkedReducedGB:
         marked-basis notation.  The marker's coefficient is 1, so its label
         is followed by the rest of the form in degrevlex order, the default
         of Poly.to_string."""
-        order = degrevlex(self.ring.n)
         out = []
         for m, f in self.pairs:
             label = self.ring.labels[m]
-            rest = (f - Poly.variable(self.ring, m)).to_string(order)
+            rest = (f - Poly.variable(self.ring, m)).to_string()
             if rest == "0":
                 text = label
             elif rest.startswith("-"):

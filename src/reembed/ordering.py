@@ -9,6 +9,8 @@ O(n) key function that produces the same tuple the matrix rows would.
 
 from __future__ import annotations
 
+from operator import neg
+
 from .linalg import int_matrix_rank
 
 LT, EQ, GT = -1, 0, 1
@@ -87,16 +89,20 @@ class TermOrdering:
         return f"TermOrdering(custom, {self.rows})"
 
 
+def degrevlex_key(t):
+    """The degrevlex sort key of a term, the same for every arity: total
+    degree, then the exponents from the last indeterminate to the second,
+    negated.  It is the tuple the rows of degrevlex(len(t)) produce."""
+    return (sum(t),) + tuple(map(neg, t[:0:-1]))
+
+
 def degrevlex(n):
     """Degree-reverse-lexicographic ordering on n indeterminates."""
     rows = [[1] * n]
     for i in range(n - 1, 0, -1):
         rows.append([-1 if j == i else 0 for j in range(n)])
-
-    def key(t):
-        return (sum(t),) + tuple(-t[i] for i in range(n - 1, 0, -1))
-
-    return TermOrdering(rows, kind="degrevlex", _key=key, validate=False)
+    return TermOrdering(rows, kind="degrevlex", _key=degrevlex_key,
+                        validate=False)
 
 
 def lex(n):

@@ -8,7 +8,7 @@ never mutates its operands, so values can be shared freely across threads.
 from __future__ import annotations
 
 from . import linalg
-from .ordering import degrevlex
+from .ordering import degrevlex_key
 from .ring import tconst, tdeg, term_str, tmul, tvar
 
 
@@ -73,8 +73,7 @@ class Poly:
 
     def support(self):
         """Terms in a deterministic (degrevlex descending) order."""
-        key = degrevlex(self.ring.n).key
-        return sorted(self.coeffs, key=key, reverse=True)
+        return sorted(self.coeffs, key=degrevlex_key, reverse=True)
 
     def coefficient(self, term):
         return self.coeffs.get(term, self.ring.field.zero())
@@ -258,9 +257,9 @@ class Poly:
     def to_string(self, ordering=None):
         if not self.coeffs:
             return "0"
-        ordering = ordering or degrevlex(self.ring.n)
+        key = ordering.key if ordering else degrevlex_key
         parts = []
-        for t in sorted(self.coeffs, key=ordering.key, reverse=True):
+        for t in sorted(self.coeffs, key=key, reverse=True):
             c = self.coeffs[t]
             cs = str(c)
             neg = cs.startswith("-")
@@ -285,6 +284,14 @@ class Poly:
         return f"Poly({self.to_string()})"
 
 
+def linear_row(form):
+    """The dense coefficient row of a linear form, filled from its support."""
+    row = [form.ring.field.zero()] * form.ring.n
+    for t, c in form.coeffs.items():
+        row[t.index(1)] = c
+    return row
+
+
 def linear_part_of_ideal(gens):
     """Canonical basis of the span of the generators' linear parts.
 
@@ -302,7 +309,7 @@ def linear_part_of_ideal(gens):
             raise ValueError("generators from different rings")
         lin = g.linear_part()
         if lin:
-            rows.append([lin.coefficient(tvar(ring.n, i)) for i in range(ring.n)])
+            rows.append(linear_row(lin))
     if not rows:
         return []
     reduced, _ = linalg.rref(rows, ring.field)

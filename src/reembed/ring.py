@@ -89,7 +89,7 @@ def tconst(n):
 
 def tvar(n, i):
     """The term x_i."""
-    return tuple(1 if j == i else 0 for j in range(n))
+    return (0,) * i + (1,) + (0,) * (n - i - 1)
 
 
 def tmul(s, t):

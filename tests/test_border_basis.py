@@ -13,6 +13,7 @@ from reembed.border_basis import (
     order_ideal,
     rim_interior,
 )
+from reembed.jobs import parse_job, run_job
 from reembed.linalg import rref
 from reembed.parse import parse_poly, parse_term
 from reembed.poly import linear_part_of_ideal
@@ -262,3 +263,44 @@ def test_multiplication_matrices_plural(scheme8):
     mats = scheme8.multiplication_matrices()
     assert len(mats) == 2
     assert mats[0] == scheme8.multiplication_matrix(0)
+
+
+class TestBuiltOnce:
+    """A scheme builds its generators once however many views read them."""
+
+    @pytest.fixture
+    def matvec_calls(self, monkeypatch):
+        calls = []
+        original = BorderBasisScheme._matvec
+
+        def counting(self, k, jcol):
+            calls.append((k, jcol))
+            return original(self, k, jcol)
+
+        monkeypatch.setattr(BorderBasisScheme, "_matvec", counting)
+        return calls
+
+    @pytest.mark.parametrize("text,chain", [
+        ("y^3, x*y^2, x^2", False),
+        ("x^2, y", True),
+    ])
+    def test_bbs_job_builds_the_generators_once(self, matvec_calls, text,
+                                                chain):
+        spec = parse_job(f"ring x, y;\n{text}\n", command="bbs")
+        spec.chain_reembed = chain
+        run_job(spec)
+        per_job = len(matvec_calls)
+        matvec_calls.clear()
+        BorderBasisScheme(order_ideal(spec.terms, 2)).neighbour_generators()
+        assert per_job == len(matvec_calls) > 0
+
+    def test_cache_is_not_mutable_by_callers(self, stairs8):
+        scheme = BorderBasisScheme(stairs8)
+        first = scheme.defining_ideal()
+        first.clear()
+        assert len(scheme.defining_ideal()) == 32
+        assert isinstance(scheme.generators, tuple)
+        assert scheme.generators is scheme.generators
+        assert scheme.cotangent() is scheme.cotangent()
+        assert [g.poly for g in scheme.neighbour_generators()] \
+            == scheme.defining_ideal()

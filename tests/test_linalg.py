@@ -4,6 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reembed.field import QQ, PrimeField
 from reembed.linalg import (
@@ -92,6 +95,88 @@ class TestRref:
         assert pivots == (0,)
         assert len(rows) == 1
         assert rows[0][0] == 1 and rows[0][1] == f5.of(3)
+
+
+# Fixed, derandomized profile: every run draws the same matrices.
+PROPERTY = settings(derandomize=True, max_examples=150, deadline=None,
+                    database=None)
+
+
+def entries(denominators):
+    """Matrix entries as ints or as "a/b" strings, zero-heavy."""
+    small = st.integers(-3, 3)
+    ints = st.one_of(st.just(0), small)
+    strings = st.builds(lambda a, b: f"{a}/{b}", small,
+                        st.sampled_from(denominators))
+    return st.one_of(ints, strings)
+
+
+@st.composite
+def matrices(draw, denominators):
+    """Rows with zero rows and rows dependent on the others mixed in."""
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(entries(denominators), min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, max_size=4))
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            coeffs = draw(st.lists(st.integers(-2, 2), min_size=len(rows),
+                                   max_size=len(rows)))
+            rows.append([str(sum(c * Fraction(r[j])
+                                 for c, r in zip(coeffs, rows)))
+                         for j in range(ncols)])
+    rows += [[0] * ncols] * draw(st.integers(0, 2))
+    if not rows:
+        rows = [[0] * ncols]
+    return draw(st.permutations(rows))
+
+
+def dense_rref_mod(rows, p):
+    """Dense Gauss-Jordan over F_p on ints; the reference for prime fields."""
+    def residue(x):
+        x = Fraction(x)
+        return x.numerator * pow(x.denominator, -1, p) % p
+
+    m = [[residue(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0])):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], tuple(pivots)
+
+
+class TestRrefProperties:
+    @PROPERTY
+    @given(matrices((1, 2, 3, 5, 7)))
+    @example([[0, 0, 0], [0, 0, 0]])
+    @example([[3], ["0"], ["-1/2"]])
+    def test_matches_sympy_over_qq(self, rows):
+        got, pivots = rref(rows, QQ)
+        ref, ref_pivots = sympy.Matrix(
+            [[sympy.Rational(str(x)) for x in row] for row in rows]).rref()
+        assert pivots == tuple(ref_pivots)
+        assert got == [[Fraction(int(x.p), int(x.q)) for x in ref.row(i)]
+                       for i in range(len(ref_pivots))]
+
+    @pytest.mark.parametrize("p", (5, 101))
+    @PROPERTY
+    @given(rows=matrices((1, 2, 3, 4)))
+    @example(rows=[[0, 0], [0, 0]])
+    @example(rows=[[2], ["3/4"], [0]])
+    def test_matches_dense_reference_over_prime_fields(self, p, rows):
+        got, pivots = rref(rows, PrimeField(p))
+        assert (([[x.v for x in row] for row in got], pivots)
+                == dense_rref_mod(rows, p))
 
 
 class TestSolve:

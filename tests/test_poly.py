@@ -5,7 +5,16 @@ import random
 import pytest
 
 from reembed.field import QQ, PrimeField
-from reembed.ordering import EQ, GT, LT, degrevlex, elimination_for, lex
+from reembed.ordering import (
+    EQ,
+    GT,
+    LT,
+    TermOrdering,
+    degrevlex,
+    degrevlex_key,
+    elimination_for,
+    lex,
+)
 from reembed.parse import ParseError, parse_poly, parse_ring, parse_term
 from reembed.poly import Poly, linear_part_of_ideal
 from reembed.ring import Ring
@@ -177,6 +186,30 @@ def _random_poly(ring, rng, max_terms=5, max_deg=3):
         t = tuple(rng.randrange(max_deg) for _ in range(ring.n))
         items[t] = rng.randint(-8, 8)
     return Poly(ring, items)
+
+
+class TestDegrevlexKey:
+    def test_shared_key_is_the_weight_matrix_key(self):
+        rng = random.Random(31)
+        for n in range(1, 9):
+            o = degrevlex(n)
+            for _ in range(40):
+                t = tuple(rng.randrange(5) for _ in range(n))
+                by_rows = tuple(sum(w * e for w, e in zip(row, t))
+                                for row in o.rows)
+                assert degrevlex_key(t) == o.key(t) == by_rows
+
+    def test_default_printing_and_support_order(self):
+        rng = random.Random(32)
+        for n in range(1, 9):
+            ring = Ring([f"x{i}" for i in range(n)])
+            by_rows = TermOrdering(degrevlex(n).rows)
+            for _ in range(20):
+                f = _random_poly(ring, rng)
+                assert f.to_string() == f.to_string(degrevlex(n))
+                assert f.to_string() == f.to_string(by_rows)
+                assert f.support() == sorted(f.coeffs, key=by_rows.key,
+                                             reverse=True)
 
 
 # ---------- linear parts ----------
