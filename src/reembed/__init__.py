@@ -5,8 +5,8 @@ Submodules:
   ring, poly    sparse polynomials over named indeterminates
   ordering      weight-matrix term orderings
   parse         text grammar for rings and polynomials
-  linalg        exact dense linear algebra (RREF, Bareiss)
-  linear_gfan   Groebner fans of linear ideals via maximal minors / matroids
+  linalg        exact linear algebra (sparse RREF, Bareiss rank)
+  linear_gfan   Groebner fans of linear ideals by a walk of tableau pivots
   cotangent     cotangent equivalence classes and closed-form fans
   groebner      Buchberger engine, separating-tuple checks, elimination
   search        the two re-embedding search algorithms and certificates

@@ -1,8 +1,8 @@
 """Command-line entry point: ``reembed <subcommand> [flags] <jobfile>``.
 
 Exit codes: 0 on success, 2 when a budget abort left a check inconclusive,
-1 on any error.  Budgets and thread counts fall back to the REEMBED_BUDGET
-and REEMBED_THREADS environment variables.
+1 on any error.  The step budget falls back to the REEMBED_BUDGET
+environment variable.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ def build_parser():
         p.add_argument("--budget", type=int, default=None,
                        help="pair-reduction step budget "
                             "(default REEMBED_BUDGET or 10^6)")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker count (recorded in the report; "
-                            "default REEMBED_THREADS or 1)")
 
     p = sub.add_parser("gb", help="reduced basis under a chosen ordering")
     p.add_argument("--ordering", default="degrevlex",
@@ -97,8 +94,6 @@ def main(argv=None):
         spec = parse_job(text, command=args.command)
         spec.budget = args.budget if args.budget is not None else \
             _env_int("REEMBED_BUDGET", DEFAULT_STEP_LIMIT)
-        spec.threads = args.threads if args.threads is not None else \
-            _env_int("REEMBED_THREADS", 1)
         spec.json_out = args.json_out
         for name in ("ordering_spec", "size", "alg", "optimal_only",
                      "all_results", "chain_reembed", "show_fan"):

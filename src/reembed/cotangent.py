@@ -2,11 +2,12 @@
 
 Two indeterminates are equivalent when their residues in the degree-one
 quotient span the same line; residue zero is the trivial class, singleton
-classes are basic, classes of size >= 2 are proper.  For binomial linear
-parts the classes come from a union-find over the reduced basis; a general
-linear part falls back to comparing normalized residue vectors.  For
-binomial input the leading-term fan has the closed form: the trivial class
-together with one deletion from every proper class.
+classes are basic, classes of size >= 2 are proper.  The residues come from
+one pass over the reduced row echelon form of the linear part: a free column
+is its own residue, a pivot's residue is its row without the pivot entry.
+Scaled so its first entry is 1, a residue names its line, and equal names
+make one class.  For binomial input the leading-term fan has the closed
+form: the trivial class together with one deletion from every proper class.
 """
 
 from __future__ import annotations
@@ -16,27 +17,6 @@ from itertools import product
 from . import linalg
 from .poly import linear_row
 from .ring import tvar
-
-
-class UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            # smaller index wins so representatives are canonical
-            if ri > rj:
-                ri, rj = rj, ri
-            self.parent[rj] = ri
 
 
 class CotangentClasses:
@@ -107,64 +87,21 @@ def cotangent_classes(lin_basis, ring=None):
             raise ValueError("cannot infer the ring from an empty basis")
         ring = lin_basis[0].ring
     rows, pivots = _reduced_rows(lin_basis, ring)
-    n = ring.n
-
-    binomial = all(sum(1 for x in row if x) <= 2 for row in rows)
-    if binomial:
-        trivial = set()
-        uf = UnionFind(n)
-        touched = set()
-        for row in rows:
-            support = [i for i, x in enumerate(row) if x]
-            touched.update(support)
-            if len(support) == 1:
-                trivial.add(support[0])
-            else:
-                uf.union(*support)
-        # indices united with a trivial one are trivial too (their residue
-        # lines collapse); with a reduced basis this does not occur, but
-        # keep the classification honest either way
-        groups = {}
-        for i in touched:
-            groups.setdefault(uf.find(i), set()).add(i)
-        basic = set(range(n)) - touched
-        proper = []
-        for members in groups.values():
-            if members & trivial:
-                trivial |= members
-            elif len(members) == 1:
-                basic |= members
-            else:
-                proper.append(members)
-        return CotangentClasses(ring, trivial, basic, proper)
-
-    # general path: residue of x_i as a vector over the non-pivot columns
-    free = [c for c in range(n) if c not in set(pivots)]
-    free_pos = {c: k for k, c in enumerate(free)}
-    zero = ring.field.zero()
-
-    def residue(i):
-        if i in free_pos:
-            v = [zero] * len(free)
-            v[free_pos[i]] = ring.field.one()
-            return tuple(v)
-        r = pivots.index(i)
-        return tuple(-rows[r][c] for c in free)
-
-    def normalize(v):
-        for x in v:
-            if x:
-                return tuple(y / x for y in v)
-        return None
-
+    # residue of x_i in the free coordinates: a free column is itself, a
+    # pivot is its row without the pivot entry (the sign does not matter)
+    one = ring.field.one()
+    residues = {c: {c: one} for c in range(ring.n)}
+    for p, row in zip(pivots, rows):
+        residues[p] = {c: x for c, x in enumerate(row) if x and c != p}
     trivial = set()
     lines = {}
-    for i in range(n):
-        key = normalize(residue(i))
-        if key is None:
+    for i, res in residues.items():
+        if not res:
             trivial.add(i)
-        else:
-            lines.setdefault(key, set()).add(i)
+            continue
+        lead = res[min(res)]
+        key = tuple((c, res[c] / lead) for c in sorted(res))
+        lines.setdefault(key, set()).add(i)
     basic = set()
     proper = []
     for members in lines.values():

@@ -209,7 +209,11 @@ def _interreduce(G, lts, key):
 
 @dataclass
 class GBResult:
-    """A (possibly partial) reduced Groebner basis computation."""
+    """A reduced Groebner basis, or after a budget abort a partial one.
+
+    An aborted basis is minimal but not interreduced: reducing it further
+    would be work beyond the step budget.
+    """
 
     basis: list
     ordering: TermOrdering
@@ -234,8 +238,8 @@ def buchberger(gens, ordering, limit=DEFAULT_STEP_LIMIT):
     """Reduced Groebner basis of the ideal generated by gens.
 
     Counts one step per S-polynomial reduction; when the budget runs out the
-    result carries status "aborted" and the current (minimalized,
-    interreduced) partial basis.
+    result carries status "aborted" and the current partial basis,
+    minimalized but not interreduced, so the budget bounds every reduction.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -272,7 +276,8 @@ def buchberger(gens, ordering, limit=DEFAULT_STEP_LIMIT):
             P = _gm_update(G, lts, P, _monic(h), key)
 
     G, lts = _minimalize(G, lts, key)
-    G = _interreduce(G, lts, key)
+    if not aborted:
+        G = _interreduce(G, lts, key)
     order = sorted(range(len(G)), key=lambda i: key(lts[i]), reverse=True)
     basis = [_unprep(ring, G[i]) for i in order]
     return GBResult(basis, ordering, "aborted" if aborted else "complete",
@@ -306,9 +311,6 @@ class SeparatingTuple:
     markers: tuple
     polys: tuple
     coherent: bool = False
-
-    def marker_labels(self):
-        return tuple(self.ring.labels[i] for i in self.markers)
 
     def substitution(self):
         """The rewrite map z_i -> z_i - f_i (monic f_i assumed)."""

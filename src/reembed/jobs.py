@@ -40,7 +40,6 @@ class JobSpec:
     ordering_spec: str = "degrevlex"
     size: int | None = None
     budget: int = DEFAULT_STEP_LIMIT
-    threads: int = 1
     alg: str = "gfan"
     optimal_only: bool = True
     all_results: bool = False
@@ -144,7 +143,7 @@ def _meta(spec):
         "command": spec.command,
         "ring": list(spec.ring.labels),
         "budget": spec.budget,
-        "threads": spec.threads,
+        "threads": 1,
     }
 
 
@@ -332,8 +331,8 @@ def _run_bbs(spec):
     exit_code = 0
     if spec.chain_reembed and gens:
         sub = JobSpec(command="reembed", ring=scheme.cring, polys=gens,
-                      budget=spec.budget, threads=spec.threads,
-                      alg="cotangent", optimal_only=spec.optimal_only)
+                      budget=spec.budget, alg="cotangent",
+                      optimal_only=spec.optimal_only)
         inner = _search(sub)
         summary = {
             "status": inner.status,

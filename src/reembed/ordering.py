@@ -64,12 +64,6 @@ class TermOrdering:
             return GT
         return EQ
 
-    def max_term(self, terms):
-        return max(terms, key=self._key)
-
-    def min_term(self, terms):
-        return min(terms, key=self._key)
-
     def describe(self):
         d = {"kind": self.kind}
         d.update(self.params)

@@ -43,14 +43,6 @@ class Poly:
     def variable(cls, ring, i):
         return cls(ring, {tvar(ring.n, i): 1})
 
-    @classmethod
-    def from_terms(cls, ring, items):
-        """Build from (term, coefficient) pairs, summing duplicates."""
-        acc = {}
-        for t, c in items:
-            acc[t] = acc[t] + c if t in acc else c
-        return cls(ring, acc)
-
     # ---------- basic queries ----------
 
     def is_zero(self):

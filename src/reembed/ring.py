@@ -101,14 +101,6 @@ def tdivides(s, t):
     return all(a <= b for a, b in zip(s, t))
 
 
-def tdiv(t, s):
-    """t / s; s must divide t."""
-    out = tuple(b - a for a, b in zip(s, t))
-    if any(e < 0 for e in out):
-        raise ValueError("term division is not exact")
-    return out
-
-
 def tlcm(s, t):
     return tuple(max(a, b) for a, b in zip(s, t))
 

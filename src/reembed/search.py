@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .cotangent import cotangent_classes
+from .cotangent import cotangent_classes, enumerate_ltgfan_binomial
 from .groebner import (
     DEFAULT_STEP_LIMIT,
     GBResult,
@@ -23,8 +23,7 @@ from .groebner import (
     coherent_interreduce,
     eliminate_by_substitution,
 )
-from .ordering import elimination_degree_block
-from .poly import Poly, linear_part_of_ideal
+from .poly import linear_part_of_ideal
 from .ring import tdeg
 
 
@@ -88,11 +87,8 @@ def _validate_input(gens, allow_full=False):
     return gens, ring
 
 
-def _new_result(ring, check, lin_dim, gens):
+def _new_result(ring, check, lin_dim):
     sep = check.sep_tuple
-    substitution = {}
-    for z, f in zip(sep.markers, sep.polys):
-        substitution[z] = Poly.variable(ring, z) - f
     o = check.gb.ordering
     zset = set(sep.markers)
     elimination_gens = [g for g in check.gb.basis
@@ -103,7 +99,7 @@ def _new_result(ring, check, lin_dim, gens):
         ring=ring,
         Z=tuple(sep.markers),
         Y=Y,
-        substitution=substitution,
+        substitution=sep.substitution(),
         elimination_gens=elimination_gens,
         optimal=(len(sep.markers) == lin_dim),
         affine_cell=(not elimination_gens),
@@ -147,20 +143,8 @@ def find_reembedding_via_gfan(gens, s=None, limit=DEFAULT_STEP_LIMIT):
     """
     gens, ring = _validate_input(gens)
     lin_dim = len(linear_part_of_ideal(gens))
-    candidates = candidate_tuples_via_gfan(gens, s)
-    report = SearchReport(status="not_found")
-    for Z in candidates:
-        check = check_Z_separating(gens, Z, limit)
-        report.tried.append((Z, check.status))
-        if check.yes:
-            report.results.append(_new_result(ring, check, lin_dim, gens))
-            report.status = "found"
-            return report
-        if check.status == "inconclusive":
-            report.unverified.append(Z)
-    if report.unverified:
-        report.status = "inconclusive"
-    return report
+    return _verify(gens, ring, lin_dim, candidate_tuples_via_gfan(gens, s),
+                   limit, first_only=True)
 
 
 def candidate_tuples_via_cotangent(classes, optimal_only=True):
@@ -171,20 +155,10 @@ def candidate_tuples_via_cotangent(classes, optimal_only=True):
     Otherwise: all unions of a subset of the trivial class with a proper
     subset of each proper class (combinatorially explosive; opt in).
     """
+    if optimal_only:
+        return [tuple(sorted(s)) for s in enumerate_ltgfan_binomial(classes)]
     trivial = sorted(classes.trivial)
     out = []
-    if optimal_only:
-        per_class = []
-        for e in classes.proper:
-            members = sorted(e)
-            per_class.append([tuple(m for m in members if m != drop)
-                              for drop in members])
-        for picks in product(*per_class):
-            z = list(trivial)
-            for part in picks:
-                z.extend(part)
-            out.append(tuple(sorted(z)))
-        return out
     trivial_subsets = []
     for r in range(len(trivial) + 1):
         trivial_subsets.extend(combinations(trivial, r))
@@ -230,14 +204,26 @@ def find_reembedding_via_cotangent(gens, optimal_only=True,
                 for r in range(1, len(Z)):
                     extra.update(combinations(Z, r))
             candidates = sorted(set(candidates) | extra)
+    return _verify(gens, ring, lin_dim, candidates, limit, first_only=False)
+
+
+def _verify(gens, ring, lin_dim, candidates, limit, first_only):
+    """Check the candidates in order; the one loop behind both searches.
+
+    With first_only the sweep stops at the first "yes" with status "found";
+    otherwise it collects every verified tuple with status "all".  A sweep
+    that ends with some check aborted on budget is "inconclusive", and one
+    that ends with no verified tuple is "not_found".
+    """
     report = SearchReport(status="all")
     for Z in candidates:
-        if not Z:
-            continue
         check = check_Z_separating(gens, Z, limit)
         report.tried.append((Z, check.status))
         if check.yes:
-            report.results.append(_new_result(ring, check, lin_dim, gens))
+            report.results.append(_new_result(ring, check, lin_dim))
+            if first_only:
+                report.status = "found"
+                return report
         elif check.status == "inconclusive":
             report.unverified.append(Z)
     if report.unverified:
@@ -293,11 +279,3 @@ def certify_affine_cell(result, gens, limit=DEFAULT_STEP_LIMIT,
             "substitution killed the generators but the basis disagrees"
     return True
 
-
-def reverify(result, gens, limit=DEFAULT_STEP_LIMIT):
-    """Soundness hook: re-run the check under an independently built
-    elimination ordering."""
-    ring = result.ring
-    alt = elimination_degree_block(result.Z, ring.n, labels=ring.labels)
-    check = check_Z_separating(gens, result.Z, limit, ordering=alt)
-    return check.yes

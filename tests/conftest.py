@@ -1,8 +1,15 @@
 """Shared fixtures: the worked ideals used across the test suite."""
 
 import pytest
+from hypothesis import settings
 
 from reembed.parse import parse_poly, parse_ring
+
+# One fixed, derandomized profile for every property test: each run draws
+# the same inputs.
+settings.register_profile("derandomized", derandomize=True, max_examples=150,
+                          deadline=None, database=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

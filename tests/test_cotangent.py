@@ -1,8 +1,13 @@
 """Cotangent equivalence classes and the closed-form leading-term fan."""
 
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from reembed.cotangent import (
     CotangentClasses,
@@ -11,11 +16,12 @@ from reembed.cotangent import (
     sigma_leading_S,
     support_union,
 )
+from reembed.field import QQ, PrimeField
 from reembed.linear_gfan import ltgfan_linear
 from reembed.ordering import degrevlex, lex
 from reembed.parse import parse_poly
 from reembed.poly import Poly, linear_part_of_ideal
-from reembed.ring import Ring
+from reembed.ring import Ring, tvar
 
 
 def forms(ring, texts):
@@ -52,11 +58,11 @@ class TestClasses:
         assert c.proper == (frozenset({0, 1, 2}),)
 
     def test_chain_agrees_with_residue_rank_oracle(self):
-        # the generic residue-line path must agree with the union-find path
+        # the classes depend only on the span: a basis of the same span with
+        # a non-binomial member reduces to the same echelon rows
         ring = Ring(["x1", "x2", "x3", "x4"])
         fs = forms(ring, ["x1 - x2", "x2 - x3"])
         fast = cotangent_classes(fs, ring)
-        # force the generic path with an equivalent non-binomial basis
         slow = cotangent_classes(
             [fs[0] + fs[1], fs[1]], ring)
         assert fast == slow
@@ -98,6 +104,74 @@ class TestClasses:
         ring = Ring(["x", "y"])
         with pytest.raises(ValueError):
             cotangent_classes(forms(ring, ["x^2"]), ring)
+
+
+def span_rank(rows, n, p):
+    """Rank over QQ (p = 0) or F_p, computed by sympy alone."""
+    dom = sympy.GF(p) if p else sympy.QQ
+    return DomainMatrix([[dom(x) for x in row] for row in rows],
+                        (len(rows), n), dom).rank()
+
+
+def rank_oracle_classes(rows, n, p):
+    """Trivial set and same-class pairs from ranks of extended matrices.
+
+    With r the rank of the rows, x_i is trivial iff adding e_i keeps the
+    rank at r, and non-trivial x_i, x_j share a line iff adding e_i and e_j
+    raises it to r + 1 only.
+    """
+    def unit(i):
+        return [1 if c == i else 0 for c in range(n)]
+
+    r = span_rank(rows, n, p)
+    trivial = {i for i in range(n) if span_rank(rows + [unit(i)], n, p) == r}
+    rest = [i for i in range(n) if i not in trivial]
+    pairs = {(i, j) for i in rest for j in rest
+             if i < j and span_rank(rows + [unit(i), unit(j)], n, p) == r + 1}
+    return trivial, pairs
+
+
+@st.composite
+def spans(draw, p):
+    """Binomial and general rows, with zero and dependent rows mixed in."""
+    n = draw(st.integers(2, 10))
+    small = st.integers(-3, 3)
+    coeff = small if p else st.builds(Fraction, small,
+                                      st.sampled_from((1, 2, 3)))
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            row = [0] * n
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            row[j] = draw(coeff)
+            row[i] = draw(coeff.filter(lambda x: x % p if p else x))
+        else:
+            row = draw(st.lists(st.one_of(st.just(0), coeff),
+                                min_size=n, max_size=n))
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            coeffs = draw(st.lists(small, min_size=len(rows),
+                                   max_size=len(rows)))
+            rows.append([sum(c * r[k] for c, r in zip(coeffs, rows))
+                         for k in range(n)])
+    rows += [[0] * n] * draw(st.integers(0, 2))
+    return n, draw(st.permutations(rows))
+
+
+class TestClassesAgainstRankOracle:
+    @pytest.mark.parametrize("p", (0, 5, 101))
+    @given(data=st.data())
+    def test_matches_rank_oracle(self, p, data):
+        n, rows = data.draw(spans(p))
+        ring = Ring([f"v{i}" for i in range(n)], PrimeField(p) if p else QQ)
+        fs = [Poly(ring, {tvar(n, c): x for c, x in enumerate(row) if x})
+              for row in rows]
+        c = cotangent_classes(fs, ring)
+        trivial, pairs = rank_oracle_classes(rows, n, p)
+        assert c.trivial == trivial
+        same = {(i, j) for e in c.proper for i in e for j in e if i < j}
+        assert same == pairs
 
 
 class TestSupportUnion:

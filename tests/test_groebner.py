@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from reembed import groebner
+from reembed.border_basis import BorderBasisScheme, order_ideal
 from reembed.groebner import (
     CoherenceError,
     SeparatingTuple,
@@ -19,6 +21,7 @@ from reembed.ordering import degrevlex, elimination_degree_block, elimination_fo
 from reembed.parse import parse_poly, parse_ring
 from reembed.poly import Poly, linear_part_of_ideal
 from reembed.ring import Ring, tdeg
+from reembed.search import candidate_tuples_via_cotangent
 
 
 def polys(ring, texts):
@@ -103,6 +106,21 @@ class TestCheckZSeparating:
     def test_inconclusive_on_budget(self, ring_xyz, curve10):
         res = check_Z_separating(curve10, ["x"], limit=1)
         assert res.status == "inconclusive"
+
+    @pytest.mark.parametrize("limit", (0, 50))
+    def test_budget_bounds_every_reduction(self, monkeypatch, limit):
+        # first cotangent candidate of the x^2, y^2 scheme (25
+        # indeterminates): it aborts, and the aborted basis gets no
+        # reduction beyond the budget
+        scheme = BorderBasisScheme(order_ideal([(2, 0), (0, 2)], 2))
+        Z = candidate_tuples_via_cotangent(scheme.cotangent())[0]
+        calls = []
+        reduce = groebner._normal_form_internal
+        monkeypatch.setattr(groebner, "_normal_form_internal",
+                            lambda *a: calls.append(1) or reduce(*a))
+        res = check_Z_separating(scheme.defining_ideal(), Z, limit=limit)
+        assert res.status == "inconclusive"
+        assert len(calls) <= limit
 
     def test_empty_markers_rejected(self, ring_xyz, curve10):
         with pytest.raises(ValueError):
