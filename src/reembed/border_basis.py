@@ -1,10 +1,17 @@
 """Border basis scheme construction and structural verification.
 
 From an order ideal O with border B, the scheme lives in one indeterminate
-c_ij per (term of O, term of B) pair.  Its defining ideal is generated by
-the next-door and across-the-rim relations, each computed as an exact
-symbolic matrix-vector product of the generic multiplication matrices.  The
-module also classifies rim/interior indeterminates, carries the arrow
+c_ij per (term of O, term of B) pair, numbered i * nu + j.  Its defining
+ideal is generated by the next-door and across-the-rim relations: the
+entries of c_j - A_ell c_j' and A_k c_j - A_ell c_j', where A_k is the
+generic multiplication matrix of x_k and c_j the j-th column of (c_ij).
+Every entry is a sum of single indeterminates and products of two, so each
+generator is built and checked in its index form: a dict from a sorted
+tuple of c-indices, (a,) or (a, b) with a <= b, to a field element.  The
+cost of a term is then its 1-2 indices, not the 25-180 exponents of the
+ring.  Each generator also carries the same polynomial as a ``Poly``.
+
+The module also classifies rim/interior indeterminates, carries the arrow
 grading, and verifies the structural facts the construction promises
 (arrow homogeneity, the linear-part case table, the quadratic support
 shape, and the placement of rim indeterminates in the cotangent classes).
@@ -12,14 +19,14 @@ shape, and the placement of rim indeterminates in the cotangent classes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from .cotangent import cotangent_classes
 from .field import QQ
 from .ordering import degrevlex
-from .poly import Poly, linear_part_of_ideal
-from .ring import Ring, tdeg, tmul, tvar
+from .poly import Poly
+from .ring import Ring, tmul, tvar
 
 
 @dataclass(frozen=True)
@@ -96,7 +103,12 @@ def rim_interior(O):
 
 @dataclass(frozen=True)
 class NeighbourGenerator:
-    """One entry of a next-door or across-the-rim relation tuple."""
+    """One nonzero entry of a next-door or across-the-rim relation tuple.
+
+    ``form`` is the entry in index form ({sorted c-index tuple: coefficient},
+    see the module docstring) and ``poly`` the same polynomial in the
+    scheme's ring; both are built once, and equality compares ``poly``.
+    """
 
     kind: str       # "next-door" | "across-rim"
     j: int          # border position of b_j
@@ -104,6 +116,64 @@ class NeighbourGenerator:
     row: int        # entry index into the tuple (an O position)
     meta: tuple     # ND: (ell,); AR: (k, ell, parent position)
     poly: Poly
+    form: dict = field(compare=False, repr=False)
+
+
+def _add(form, key, c):
+    """Add c to one coefficient of an index form, in place."""
+    s = form.get(key)
+    if s is None:
+        form[key] = c
+    else:
+        s = s + c
+        if s:
+            form[key] = s
+        else:
+            del form[key]
+
+
+def _difference(a, b):
+    """The index form a - b."""
+    out = dict(a)
+    for key, c in b.items():
+        _add(out, key, -c)
+    return out
+
+
+def _linear_part(form):
+    """The degree-one terms of an index form."""
+    return {key: c for key, c in form.items() if len(key) == 1}
+
+
+def _key_string(key, labels):
+    """An index-form term as text: c11*c23, or c11^2 for a square."""
+    if len(key) == 2 and key[0] == key[1]:
+        return f"{labels[key[0]]}^2"
+    return "*".join(labels[a] for a in key)
+
+
+def form_string(form, labels):
+    """An index form as ``Poly.to_string`` renders the same polynomial.
+
+    Descending degrevlex on sorted index tuples is ascending order by
+    (-degree, reversed indices).
+    """
+    if not form:
+        return "0"
+    parts = []
+    for key in sorted(form, key=lambda key: (-len(key), key[::-1])):
+        cs = str(form[key])
+        neg = cs.startswith("-")
+        if neg:
+            cs = cs[1:]
+        body = _key_string(key, labels)
+        if cs != "1":
+            body = cs + body
+        if not parts:
+            parts.append(f"-{body}" if neg else body)
+        else:
+            parts.append(f"- {body}" if neg else f"+ {body}")
+    return " ".join(parts)
 
 
 @dataclass
@@ -204,16 +274,33 @@ class BorderBasisScheme:
         return [self.multiplication_matrix(k) for k in range(self.nvars)]
 
     def _matvec(self, k, jcol):
-        """A_k applied to the jcol-th column of (c_ij)."""
-        acc = [Poly.zero(self.cring) for _ in range(self.mu)]
+        """A_k applied to the jcol-th column of (c_ij), as index forms."""
+        one = self.cring.field.one()
+        nu = self.nu
+        acc = [{} for _ in range(self.mu)]
         for m, (kind, pos) in enumerate(self._matcols[k]):
-            cmj = self.cvar(m, jcol)
+            cmj = m * nu + jcol
             if kind == "unit":
-                acc[pos] = acc[pos] + cmj
+                _add(acc[pos], (cmj,), one)
             else:
                 for i in range(self.mu):
-                    acc[i] = acc[i] + self.cvar(i, pos) * cmj
+                    ci = i * nu + pos
+                    _add(acc[i], (ci, cmj) if ci <= cmj else (cmj, ci), one)
         return acc
+
+    def _poly(self, form):
+        """The Poly of an index form, sharing its coefficients."""
+        n = self.cring.n
+        coeffs = {}
+        for key, c in form.items():
+            e = [0] * n
+            for a in key:
+                e[a] += 1
+            coeffs[tuple(e)] = c
+        p = Poly.__new__(Poly)
+        p.ring = self.cring
+        p.coeffs = coeffs
+        return p
 
     # ---------- neighbour pairs and generators ----------
 
@@ -249,17 +336,6 @@ class BorderBasisScheme:
         out.sort()
         return out
 
-    def nd_tuple(self, j, jp, ell):
-        """The relation tuple c_j - A_ell c_j' for a next-door pair."""
-        prod = self._matvec(ell, jp)
-        return [self.cvar(i, j) - prod[i] for i in range(self.mu)]
-
-    def ar_tuple(self, j, jp, k, ell):
-        """The relation tuple A_k c_j - A_ell c_j' for an across-the-rim pair."""
-        left = self._matvec(k, j)
-        right = self._matvec(ell, jp)
-        return [left[m] - right[m] for m in range(self.mu)]
-
     def neighbour_generators(self):
         """All nonzero relation entries, with their provenance.
 
@@ -267,18 +343,25 @@ class BorderBasisScheme:
         copy kept in ``generators``.
         """
         out = []
+
+        def emit(kind, j, jp, row, meta, form):
+            if form:
+                out.append(NeighbourGenerator(kind, j, jp, row, meta,
+                                              self._poly(form), form))
+
+        one = self.cring.field.one()
         for j, jp, ell in self.next_door_pairs():
-            tup = self.nd_tuple(j, jp, ell)
-            for i, p in enumerate(tup):
-                if not p.is_zero():
-                    out.append(NeighbourGenerator("next-door", j, jp, i,
-                                                  (ell,), p))
+            prod = self._matvec(ell, jp)
+            for i in range(self.mu):
+                own = {(self.cvar_index(i, j),): one}
+                emit("next-door", j, jp, i, (ell,),
+                     _difference(own, prod[i]))
         for j, jp, k, ell, parent in self.across_rim_pairs():
-            tup = self.ar_tuple(j, jp, k, ell)
-            for m, p in enumerate(tup):
-                if not p.is_zero():
-                    out.append(NeighbourGenerator("across-rim", j, jp, m,
-                                                  (k, ell, parent), p))
+            left = self._matvec(k, j)
+            right = self._matvec(ell, jp)
+            for m in range(self.mu):
+                emit("across-rim", j, jp, m, (k, ell, parent),
+                     _difference(left[m], right[m]))
         return out
 
     @property
@@ -316,32 +399,43 @@ class BorderBasisScheme:
     # ---------- cotangent view ----------
 
     def cotangent(self):
-        """Cotangent classes of the defining ideal, computed once."""
+        """Cotangent classes of the defining ideal, computed once.
+
+        ``cotangent_classes`` row-reduces the generators' linear parts
+        itself, so they go in as they are.
+        """
         if self._classes is None:
-            lin = linear_part_of_ideal(self.defining_ideal())
-            self._classes = cotangent_classes(lin, self.cring)
+            lin = [_linear_part(g.form) for g in self.generators]
+            self._classes = cotangent_classes(
+                [self._poly(part) for part in lin if part], self.cring)
         return self._classes
 
     # ---------- structural verification ----------
 
-    def _predicted_nd_linear(self, j, jp, ell, i):
-        t = self.O.terms[i]
-        lin = self.cvar(i, j)
-        if t[ell]:
-            below = tuple(e - 1 if k == ell else e for k, e in enumerate(t))
-            lin = lin - self.cvar(self._opos[below], jp)
-        return lin
+    def _below(self, pos, v):
+        """Position of t_pos / x_v in O, or None when x_v does not divide."""
+        t = self.O.terms[pos]
+        if not t[v]:
+            return None
+        return self._opos[tuple(e - 1 if k == v else e
+                                for k, e in enumerate(t))]
 
-    def _predicted_ar_linear(self, j, jp, k, ell, m):
-        t = self.O.terms[m]
-        lin = Poly.zero(self.cring)
-        if t[k]:
-            below = tuple(e - 1 if v == k else e for v, e in enumerate(t))
-            lin = lin + self.cvar(self._opos[below], j)
-        if t[ell]:
-            below = tuple(e - 1 if v == ell else e for v, e in enumerate(t))
-            lin = lin - self.cvar(self._opos[below], jp)
-        return lin
+    def _predicted_linear(self, gen):
+        """The linear part the case table predicts, in index form."""
+        one = self.cring.field.one()
+        pred = {}
+        if gen.kind == "next-door":
+            (ell,) = gen.meta
+            pred[(self.cvar_index(gen.row, gen.j),)] = one
+        else:
+            k, ell, _ = gen.meta
+            up = self._below(gen.row, k)
+            if up is not None:
+                pred[(self.cvar_index(up, gen.j),)] = one
+        down = self._below(gen.row, ell)
+        if down is not None:
+            pred[(self.cvar_index(down, gen.jp),)] = -one
+        return pred
 
     def _exposed(self, v):
         """(border position, exposing O position) pairs for x_v."""
@@ -352,26 +446,17 @@ class BorderBasisScheme:
                 out.append((jb, self._opos[t]))
         return out
 
-    def _allowed_quadratic(self, gen):
-        """Exponent vectors the quadratic part may use."""
-        allowed = set()
+    def _allowed_quadratic(self, gen, exposed):
+        """Index pairs the quadratic part may use; exposed[v] is _exposed(v)."""
+        def pairs(v, col):
+            for b, o in exposed[v]:
+                a, c = self.cvar_index(gen.row, b), self.cvar_index(o, col)
+                yield (a, c) if a <= c else (c, a)
+
         if gen.kind == "next-door":
-            (ell,) = gen.meta
-            for lam, rho in self._exposed(ell):
-                u = tmul(tvar(self.cring.n, self.cvar_index(gen.row, lam)),
-                         tvar(self.cring.n, self.cvar_index(rho, gen.jp)))
-                allowed.add(u)
-        else:
-            k, ell, _ = gen.meta
-            for kap, rho in self._exposed(k):
-                u = tmul(tvar(self.cring.n, self.cvar_index(gen.row, kap)),
-                         tvar(self.cring.n, self.cvar_index(rho, gen.j)))
-                allowed.add(u)
-            for lam, sig in self._exposed(ell):
-                u = tmul(tvar(self.cring.n, self.cvar_index(gen.row, lam)),
-                         tvar(self.cring.n, self.cvar_index(sig, gen.jp)))
-                allowed.add(u)
-        return allowed
+            return set(pairs(gen.meta[0], gen.jp))
+        k, ell, _ = gen.meta
+        return set(pairs(k, gen.j)) | set(pairs(ell, gen.jp))
 
     def verify_structure(self):
         """Check the promised shape of every neighbour generator."""
@@ -385,38 +470,38 @@ class BorderBasisScheme:
         failures = []
         gens = self.generators
         rim_cols = self.rim_cvar_indices()
+        labels = self.cring.labels
+        adeg = [self.arrow_degree(*self.cpair(c)) for c in range(self.cring.n)]
+        exposed = [self._exposed(v) for v in range(self.nvars)]
 
         for g in gens:
-            degs = {self.arrow_degree_of_term(t) for t in g.poly.coeffs}
-            if g.kind == "next-door":
-                expected = self.arrow_degree(g.row, g.j)
-            else:
-                k, _, _ = g.meta
-                base = self.arrow_degree(g.row, g.j)
+            where = f"{g.kind} ({g.j},{g.jp}) entry {g.row}"
+            degs = {tuple(map(sum, zip(*(adeg[a] for a in key))))
+                    for key in g.form}
+            expected = adeg[self.cvar_index(g.row, g.j)]
+            if g.kind == "across-rim":
+                k = g.meta[0]
                 expected = tuple(b + (1 if v == k else 0)
-                                 for v, b in enumerate(base))
+                                 for v, b in enumerate(expected))
             if degs != {expected}:
                 checks["arrow_homogeneous"] = False
-                failures.append(f"arrow degree of {g.kind} ({g.j},{g.jp}) "
-                                f"entry {g.row}: {degs} != {expected}")
+                failures.append(f"arrow degree of {where}: "
+                                f"{degs} != {expected}")
 
-            lin = g.poly.homogeneous_component(1)
-            if g.kind == "next-door":
-                pred = self._predicted_nd_linear(g.j, g.jp, g.meta[0], g.row)
-            else:
-                k, ell, _ = g.meta
-                pred = self._predicted_ar_linear(g.j, g.jp, k, ell, g.row)
-            if lin != pred and lin != -pred:
+            lin = _linear_part(g.form)
+            pred = self._predicted_linear(g)
+            if lin != pred and lin != {a: -c for a, c in pred.items()}:
                 checks["linear_case_table"] = False
-                failures.append(f"linear part of {g.kind} ({g.j},{g.jp}) "
-                                f"entry {g.row}: {lin} vs predicted {pred}")
+                failures.append(f"linear part of {where}: "
+                                f"{form_string(lin, labels)} vs predicted "
+                                f"{form_string(pred, labels)}")
 
-            allowed = self._allowed_quadratic(g)
-            for t in g.poly.coeffs:
-                if tdeg(t) == 2 and t not in allowed:
+            allowed = self._allowed_quadratic(g, exposed)
+            for key in g.form:
+                if len(key) == 2 and key not in allowed:
                     checks["quadratic_shape"] = False
-                    failures.append(f"quadratic term {t} of {g.kind} "
-                                    f"({g.j},{g.jp}) entry {g.row} "
+                    failures.append(f"quadratic term "
+                                    f"{_key_string(key, labels)} of {where} "
                                     "outside the allowed shape")
 
         if gens:
@@ -425,12 +510,10 @@ class BorderBasisScheme:
                 if b not in rim_cols:
                     checks["basic_are_rim"] = False
                     failures.append(
-                        f"basic indeterminate {self.cring.labels[b]} "
-                        "is interior")
+                        f"basic indeterminate {labels[b]} is interior")
             for e in classes.proper:
                 if not (e & rim_cols):
                     checks["proper_contain_rim"] = False
                     failures.append("proper class without rim indeterminate: "
-                                    + str(sorted(self.cring.labels[i]
-                                                 for i in e)))
+                                    + str(sorted(labels[i] for i in e)))
         return StructureReport(checks, failures)

@@ -1,8 +1,8 @@
 """Command-line entry point: ``reembed <subcommand> [flags] <jobfile>``.
 
 Exit codes: 0 on success, 2 when a budget abort left a check inconclusive,
-1 on any error.  The step budget falls back to the REEMBED_BUDGET
-environment variable.
+1 on any error, a command-line usage error included.  The step budget falls
+back to the REEMBED_BUDGET environment variable.
 """
 
 from __future__ import annotations
@@ -26,8 +26,17 @@ def _env_int(name, default):
         raise SystemExit(f"error: {name} must be an integer, got {raw!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, not argparse's 2,
+    which this command reserves for an inconclusive check."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="reembed",
         description="Exact re-embeddings of affine algebras: linear fans, "
                     "cotangent classes, elimination bases, border basis "

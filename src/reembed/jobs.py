@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .border_basis import BorderBasisScheme, order_ideal
+from .border_basis import BorderBasisScheme, form_string, order_ideal
 from .cotangent import cotangent_classes, enumerate_ltgfan_binomial
 from .groebner import DEFAULT_STEP_LIMIT, buchberger
 from .linear_gfan import gfan_linear
@@ -313,7 +313,8 @@ def _run_bbs(spec):
                           list(scheme.arrow_degree(i, j))
                           for i in range(scheme.mu)
                           for j in range(scheme.nu)},
-        "generators": [str(g) for g in gens],
+        "generators": [form_string(g.form, scheme.cring.labels)
+                       for g in scheme.generators],
         "verification": dict(report.checks),
     })
     if classes is not None:

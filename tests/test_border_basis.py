@@ -4,19 +4,24 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reembed.border_basis import (
     BorderBasisScheme,
     NeighbourGenerator,
     OrderIdeal,
     border,
+    form_string,
     order_ideal,
     rim_interior,
 )
+from reembed.cotangent import cotangent_classes
+from reembed.field import QQ, PrimeField
 from reembed.jobs import parse_job, run_job
 from reembed.linalg import rref
 from reembed.parse import parse_poly, parse_term
-from reembed.poly import linear_part_of_ideal
+from reembed.poly import Poly, linear_part_of_ideal
 from reembed.ring import tvar
 
 
@@ -304,3 +309,117 @@ class TestBuiltOnce:
         assert scheme.cotangent() is scheme.cotangent()
         assert [g.poly for g in scheme.neighbour_generators()] \
             == scheme.defining_ideal()
+
+
+# ---------- the index form against plain Poly arithmetic ----------
+
+@st.composite
+def small_order_ideals(draw):
+    """Order ideals of at most 12 terms in 2 or 3 indeterminates."""
+    n = draw(st.sampled_from((2, 3)))
+    top = 3 if n == 2 else 2
+    terms = draw(st.lists(st.tuples(*[st.integers(0, top)] * n),
+                          min_size=1, max_size=3))
+    O = order_ideal(terms, n)
+    if len(O) > 12:
+        O = order_ideal(terms[:1], n)
+    if len(O) > 12:
+        O = order_ideal([tuple(min(e, 1) for e in terms[0])], n)
+    return O
+
+
+def reference_generators(scheme):
+    """(kind, j, j', row, meta, poly) of every nonzero relation entry,
+    from the dense matrices A_k: c_j - A_ell c_j' and A_k c_j - A_ell c_j'."""
+    mats = scheme.multiplication_matrices()
+    zero = Poly.zero(scheme.cring)
+
+    def column(j):
+        return [scheme.cvar(i, j) for i in range(scheme.mu)]
+
+    def apply(A, v):
+        return [sum((A[r][m] * v[m] for m in range(scheme.mu)), zero)
+                for r in range(scheme.mu)]
+
+    out = []
+    for j, jp, ell in scheme.next_door_pairs():
+        entries = [a - b for a, b in zip(column(j),
+                                         apply(mats[ell], column(jp)))]
+        out += [("next-door", j, jp, i, (ell,), p)
+                for i, p in enumerate(entries) if p]
+    for j, jp, k, ell, parent in scheme.across_rim_pairs():
+        entries = [a - b for a, b in zip(apply(mats[k], column(j)),
+                                         apply(mats[ell], column(jp)))]
+        out += [("across-rim", j, jp, m, (k, ell, parent), p)
+                for m, p in enumerate(entries) if p]
+    return out
+
+
+class TestIndexForm:
+    @given(O=small_order_ideals(), p=st.sampled_from((0, 2, 3, 101)))
+    def test_generators_rendering_and_classes(self, O, p):
+        scheme = BorderBasisScheme(O, PrimeField(p) if p else QQ)
+        gens = scheme.generators
+        assert [(g.kind, g.j, g.jp, g.row, g.meta, g.poly) for g in gens] \
+            == reference_generators(scheme)
+        labels = scheme.cring.labels
+        for g in gens:
+            assert form_string(g.form, labels) == g.poly.to_string()
+        if gens:
+            lin = linear_part_of_ideal(scheme.defining_ideal())
+            assert scheme.cotangent() == cotangent_classes(lin, scheme.cring)
+
+    def test_bbs_report_renders_every_generator(self, stairs8):
+        spec = parse_job("ring x, y;\ny^3, x*y^2, x^2\n", command="bbs")
+        data = run_job(spec).data
+        scheme = BorderBasisScheme(stairs8)
+        assert data["generators"] == [str(p) for p in scheme.defining_ideal()]
+
+
+class TestVerifyStructureCatchesCorruption:
+    """Each generator check fails once one generator's index form is
+    corrupted in the way that check guards against."""
+
+    @pytest.fixture
+    def scheme(self, stairs8):
+        scheme = BorderBasisScheme(stairs8)
+        assert scheme.verify_structure().all_pass
+        return scheme
+
+    def corrupt(self, scheme, pick, change):
+        g = next(g for g in scheme.generators if pick(g))
+        change(g.form)
+        return scheme.verify_structure()
+
+    def test_flipped_linear_sign(self, scheme):
+        def flip(form):
+            key = next(k for k in form if len(k) == 1)
+            form[key] = -form[key]
+
+        report = self.corrupt(
+            scheme, lambda g: sum(len(k) == 1 for k in g.form) == 2, flip)
+        assert not report.checks["linear_case_table"]
+        assert report.checks["arrow_homogeneous"]
+        assert report.checks["quadratic_shape"]
+
+    def test_disallowed_quadratic_pair(self, scheme):
+        def add_square(form):
+            a = next(k for k in form if len(k) == 2)[0]
+            form[(a, a)] = scheme.cring.field.one()
+
+        report = self.corrupt(
+            scheme, lambda g: any(len(k) == 2 for k in g.form), add_square)
+        assert not report.checks["quadratic_shape"]
+
+    def test_shifted_arrow_degree(self, scheme):
+        # c_{i,j} -> c_{i,j+1}: the same O term under another border term
+        def shift(form):
+            key = next(k for k in form
+                       if len(k) == 1 and scheme.cpair(k[0])[1] + 1
+                       < scheme.nu)
+            form[(key[0] + 1,)] = form.pop(key)
+
+        report = self.corrupt(
+            scheme, lambda g: any(len(k) == 1 and scheme.cpair(k[0])[1] + 1
+                                  < scheme.nu for k in g.form), shift)
+        assert not report.checks["arrow_homogeneous"]

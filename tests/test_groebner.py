@@ -1,8 +1,12 @@
 """Buchberger engine, separating checks, interreduction, elimination."""
 
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reembed import groebner
 from reembed.border_basis import BorderBasisScheme, order_ideal
@@ -17,7 +21,13 @@ from reembed.groebner import (
     eliminate_by_substitution,
     normal_form,
 )
-from reembed.ordering import degrevlex, elimination_degree_block, elimination_for
+from reembed.field import QQ, PrimeField
+from reembed.ordering import (
+    degrevlex,
+    elimination_degree_block,
+    elimination_for,
+    lex,
+)
 from reembed.parse import parse_poly, parse_ring
 from reembed.poly import Poly, linear_part_of_ideal
 from reembed.ring import Ring, tdeg
@@ -341,3 +351,68 @@ class TestGBResultContains:
         assert gb.status == "aborted"
         with pytest.raises(ValueError):
             gb.contains(curve10[0])
+
+
+# ---------- reduced bases against sympy ----------
+
+@st.composite
+def small_ideals(draw):
+    """(n, p, generators as {exponent tuple: int}) with p = 0 for QQ: up to
+    three generators of 1-3 terms and total degree <= 2 in 2 or 3
+    indeterminates, none zero over the field."""
+    n = draw(st.sampled_from((2, 3)))
+    p = draw(st.sampled_from((0, 5, 101)))
+    exps = st.tuples(*[st.integers(0, 2)] * n).filter(lambda e: sum(e) <= 2)
+    coeff = st.integers(-3, 3).filter(lambda c: c % p if p else c)
+    gen = st.dictionaries(exps, coeff, min_size=1, max_size=3)
+    return n, p, draw(st.lists(gen, min_size=1, max_size=3))
+
+
+def _canonical(basis, order, p):
+    """A basis of {exponent tuple: coefficient} dicts as a set of monic
+    polynomials under sympy's lex or grevlex; coefficients are ints mod p,
+    or Fractions for p = 0."""
+    if order == "lex":
+        key = tuple
+    else:
+        def key(e):
+            return (sum(e), tuple(-x for x in reversed(e)))
+    out = set()
+    for d in basis:
+        lead = d[max(d, key=key)]
+        scale = pow(lead, p - 2, p) if p else 1 / lead
+        out.add(frozenset((e, c * scale % p if p else c * scale)
+                          for e, c in d.items()))
+    return out
+
+
+class TestBuchbergerAgainstSympy:
+    @pytest.mark.parametrize("order", ("lex", "grevlex"))
+    @given(ideal=small_ideals())
+    def test_reduced_basis_and_members(self, order, ideal):
+        n, p, gens = ideal
+        ring = Ring([f"x{i}" for i in range(n)], PrimeField(p) if p else QQ)
+        ordering = lex(n) if order == "lex" else degrevlex(n)
+        fs = [Poly(ring, g) for g in gens]
+        gb = buchberger(fs, ordering)
+        assert gb.complete
+        got = [{e: c.v if p else Fraction(c.numerator, c.denominator)
+                for e, c in g.coeffs.items()} for g in gb.basis]
+
+        xs = sympy.symbols(f"x0:{n}")
+        exprs = [sum(c * sympy.prod(x ** k for x, k in zip(xs, e))
+                     for e, c in g.items()) for g in gens]
+        field = {"modulus": p} if p else {"domain": sympy.QQ}
+        ref = sympy.groebner(exprs, *xs, order=order, **field)
+        want = [{e: int(c) % p if p else Fraction(int(c.p), int(c.q))
+                 for e, c in q.terms()} for q in ref.polys]
+        assert _canonical(got, order, p) == _canonical(want, order, p)
+
+        # every combination of the generators reduces to 0
+        rng = random.Random(repr(ideal))
+        member = Poly.zero(ring)
+        for f in fs:
+            mult = Poly(ring, {tuple(rng.randint(0, 1) for _ in range(n)):
+                               rng.choice((-3, -1, 1, 2)) for _ in range(2)})
+            member = member + mult * f
+        assert normal_form(member, gb.basis, ordering).is_zero()

@@ -110,6 +110,26 @@ class TestRunJob:
         with pytest.raises(SystemExit):
             main(["gb", str(JOBS / "gb_ten_generators.job")])
 
+    @pytest.mark.parametrize("argv", [
+        ["gb", "--no-such-flag", str(JOBS / "gb_ten_generators.job")],
+        ["gb"],
+        ["no-such-command", str(JOBS / "gb_ten_generators.job")],
+        ["reembed", "--alg", "nope", str(JOBS / "reembed_twisted_curve.job")],
+    ])
+    def test_usage_error_exits_1(self, argv, capsys):
+        # 2 means "inconclusive"; a usage error is an error
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: reembed") and "error:" in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["bbs", "--help"])
+        assert e.value.code == 0
+        assert "usage: reembed bbs" in capsys.readouterr().out
+
     def test_cotangent_report(self, capsys):
         code = main(["cotangent", "--json",
                      str(JOBS / "reembed_twisted_curve.job")])
