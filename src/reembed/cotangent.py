@@ -3,7 +3,7 @@
 Two indeterminates are equivalent when their residues in the degree-one
 quotient span the same line; residue zero is the trivial class, singleton
 classes are basic, classes of size >= 2 are proper.  The residues come from
-one pass over the reduced row echelon form of the linear part: a free column
+one pass over the sparse reduced rows of the linear part: a free column
 is its own residue, a pivot's residue is its row without the pivot entry.
 Scaled so its first entry is 1, a residue names its line, and equal names
 make one class.  For binomial input the leading-term fan has the closed
@@ -15,7 +15,7 @@ from __future__ import annotations
 from itertools import product
 
 from . import linalg
-from .poly import linear_row
+from .poly import linear_rows
 from .ring import tvar
 
 
@@ -65,34 +65,16 @@ class CotangentClasses:
                 f"basic={self.labels(self.basic)}, proper=[{props}])")
 
 
-def _reduced_rows(lin_basis, ring):
-    rows = []
-    for f in lin_basis:
-        if f.ring != ring:
-            raise ValueError("forms from different rings")
-        if not f.is_linear_form() and not f.is_zero():
-            raise ValueError(f"not a linear form: {f}")
-        if f:
-            rows.append(linear_row(f))
-    if not rows:
-        return [], ()
-    return linalg.rref(rows, ring.field)
-
-
 def cotangent_classes(lin_basis, ring=None):
     """Classify the ring's indeterminates modulo the span of linear forms."""
-    lin_basis = list(lin_basis)
-    if ring is None:
-        if not lin_basis:
-            raise ValueError("cannot infer the ring from an empty basis")
-        ring = lin_basis[0].ring
-    rows, pivots = _reduced_rows(lin_basis, ring)
+    ring, rows = linear_rows(list(lin_basis), ring)
+    rows, pivots = linalg.rref(rows, ring.field)
     # residue of x_i in the free coordinates: a free column is itself, a
     # pivot is its row without the pivot entry (the sign does not matter)
     one = ring.field.one()
     residues = {c: {c: one} for c in range(ring.n)}
     for p, row in zip(pivots, rows):
-        residues[p] = {c: x for c, x in enumerate(row) if x and c != p}
+        residues[p] = {c: x for c, x in row.items() if c != p}
     trivial = set()
     lines = {}
     for i, res in residues.items():
@@ -118,16 +100,9 @@ def support_union(lin_basis, ring=None):
     Independent of which minimal generating set is chosen; the complement
     is exactly the set of basic indeterminates.
     """
-    lin_basis = list(lin_basis)
-    if ring is None:
-        if not lin_basis:
-            raise ValueError("cannot infer the ring from an empty basis")
-        ring = lin_basis[0].ring
-    rows, _ = _reduced_rows(lin_basis, ring)
-    out = set()
-    for row in rows:
-        out.update(i for i, x in enumerate(row) if x)
-    return frozenset(out)
+    ring, rows = linear_rows(list(lin_basis), ring)
+    return frozenset(c for row in linalg.rref(rows, ring.field)[0]
+                     for c in row)
 
 
 def sigma_smallest(ring, members, ordering):

@@ -1,4 +1,4 @@
-"""Coefficient fields: arbitrary-precision rationals and small prime fields.
+"""Coefficient fields: arbitrary-precision rationals and prime fields F_p.
 
 All arithmetic is exact.  The rational backend is gmpy2.mpq when available
 (noticeably faster), fractions.Fraction otherwise; both print as "a/b" and
@@ -130,19 +130,39 @@ class FpElement:
         return f"FpElement({self.v}, p={self.p})"
 
 
+# Miller-Rabin to the first twelve prime bases decides primality below 2^64:
+# the least composite passing all twelve is 318665857834031151167461
+# (Sorenson and Webster, Math. Comp. 86, 2017).  Larger moduli are refused.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p):
+    """Deterministic Miller-Rabin primality test for p < 2^64."""
+    if p >= 1 << 64:
+        raise ValueError(f"modulus {p} is too large: primes must be below 2^64")
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
 class PrimeField:
-    """The prime field F_p for a small prime p."""
+    """The prime field F_p for a prime p < 2^64."""
 
     def __init__(self, p):
         if not _is_prime(p):

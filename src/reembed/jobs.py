@@ -76,6 +76,7 @@ def parse_job(text, command=None):
             continue
         if ring is None and line.startswith("job:"):
             directive = line[4:].strip().rstrip(";").strip()
+            directive_line = lineno
             continue
         if ring is None:
             if not line.startswith("ring"):
@@ -91,7 +92,8 @@ def parse_job(text, command=None):
     if ring is None:
         raise ParseError("empty job file: no ring declaration", 1, 1)
     if directive is not None and directive not in COMMANDS:
-        raise ParseError(f"unknown job command {directive!r}", 1, 1)
+        raise ParseError(f"unknown job command {directive!r}",
+                         directive_line, 1)
     # an explicitly requested command wins over the file's directive, so one
     # input file can serve several views (gb, cotangent, reembed, ...)
     command = command or directive
@@ -108,7 +110,10 @@ def parse_job(text, command=None):
                     if piece:
                         spec.terms.append(parse_term(piece, ring))
             else:
-                spec.polys.append(parse_poly(line.rstrip(";"), ring))
+                p = parse_poly(line.rstrip(";"), ring)
+                if command == "gfan-linear" and p and not p.is_linear_form():
+                    raise ParseError(f"not a linear form: {p}", 1, 1)
+                spec.polys.append(p)
         except ParseError as e:
             raise ParseError(str(e).split(": ", 1)[1], lineno, e.col) \
                 from None
@@ -117,10 +122,6 @@ def parse_job(text, command=None):
             raise ParseError("order-ideal job needs at least one term", 1, 1)
     elif not spec.polys:
         raise ParseError("job needs at least one polynomial", 1, 1)
-    if command == "gfan-linear":
-        for p in spec.polys:
-            if not p.is_zero() and not p.is_linear_form():
-                raise ParseError(f"not a linear form: {p}", 1, 1)
     return spec
 
 

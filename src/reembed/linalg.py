@@ -1,14 +1,14 @@
 """Exact linear algebra on small matrices.
 
 Rank and determinant work over the rationals goes through fraction-free
-Bareiss elimination on integer-scaled rows, which keeps intermediate entries
-as single big ints instead of rationals with growing denominators.  The
-canonical reduced row echelon form is incremental Gauss-Jordan over the field
-on sparse rows ({column: value} for the nonzeros), so its cost is set by the
-nonzeros rather than by the column count: the linear parts it reduces are
-often binomial rows in rings of hundreds of indeterminates.  The RREF of a
-row space is unique, so the result does not depend on the order in which
-rows are taken.
+Bareiss elimination on integer-scaled dense rows, which keeps intermediate
+entries as single big ints instead of rationals with growing denominators.
+The canonical reduced row echelon form is incremental Gauss-Jordan over the
+field on sparse rows ({column: value} for the nonzeros), which it takes and
+returns, so its cost is set by the nonzeros rather than by the column count:
+the linear parts it reduces are often binomial rows in rings of hundreds of
+indeterminates.  The RREF of a row space is unique, so the result does not
+depend on the order in which rows are taken.
 """
 
 from __future__ import annotations
@@ -23,20 +23,18 @@ class SingularMatrixError(ValueError):
 
 
 def rref(rows, field=QQ):
-    """Reduced row echelon form.
+    """Reduced row echelon form of sparse rows {column: value}.
 
-    Returns (reduced nonzero rows, pivot column tuple).  Pivot columns are
-    the leftmost possible; pivot entries are 1 and their columns are cleared.
-    Rows come in and go out dense; the elimination keeps them sparse.
+    Entries are coerced with field.of and zeros dropped.  Returns (reduced
+    nonzero rows, pivot column tuple), the rows sparse and in pivot order.
+    Pivot columns are the leftmost possible; pivot entries are 1 and their
+    columns are cleared.
     """
-    if not rows:
-        return [], ()
-    ncols = len(rows[0])
     of = field.of
     reduced = {}    # pivot column -> its row, 1 at the pivot, 0 at the others
     for row in rows:
         v = {}
-        for c, x in enumerate(row):
+        for c, x in row.items():
             if x:
                 x = of(x)    # a string such as "0" is truthy until coerced
                 if x:
@@ -56,14 +54,7 @@ def rref(rows, field=QQ):
                 _sub_multiple(w, w[p], v)
         reduced[p] = v
     pivots = tuple(sorted(reduced))
-    zero = field.zero()
-    out = []
-    for p in pivots:
-        dense = [zero] * ncols
-        for c, x in reduced[p].items():
-            dense[c] = x
-        out.append(dense)
-    return out, pivots
+    return [reduced[p] for p in pivots], pivots
 
 
 def _sub_multiple(v, f, w):
@@ -164,7 +155,7 @@ def rank(rows, field=QQ):
         return 0
     if field == QQ:
         return bareiss_rank_int(int_scaled_rows([[field.of(x) for x in r] for r in rows]))
-    return len(rref(rows, field)[0])
+    return len(rref([dict(enumerate(r)) for r in rows], field)[0])
 
 
 def det(rows, field=QQ):

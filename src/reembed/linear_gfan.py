@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 
 from . import linalg
-from .poly import Poly, linear_part_of_ideal, linear_row
+from .poly import Poly, linear_rows
 from .ring import tvar
 
 
@@ -33,18 +33,11 @@ class CoeffMatrix:
     @classmethod
     def from_forms(cls, forms, ring=None):
         forms = list(forms)
-        if ring is None:
-            if not forms:
-                raise ValueError("cannot infer the ring from an empty tuple")
-            ring = forms[0].ring
-        rows = []
-        for f in forms:
-            if f.ring != ring:
-                raise ValueError("forms from different rings")
-            if not f.is_linear_form():
-                raise ValueError(f"not a linear form: {f}")
-            rows.append(linear_row(f))
-        return cls(ring, rows)
+        ring, rows = linear_rows(forms, ring)
+        if len(rows) != len(forms):
+            raise ValueError("not a linear form: 0")
+        return cls(ring, [[row.get(c, 0) for c in range(ring.n)]
+                          for row in rows])
 
     @property
     def nrows(self):
@@ -179,18 +172,22 @@ def _pivot(markers, rows, r, j):
     return [row for _, row in out]
 
 
-def _tableaux(A):
-    """Every basis of the column matroid of A, mapped to its tableau.
+def _tableaux(ring, rows):
+    """Every basis of the column matroid of the span of the sparse rows,
+    mapped to its tableau.
 
-    Keys are increasing column tuples B; the value holds the rows of
-    A_B^(-1) A, row r carrying the identity at column B[r].  The walk starts
-    at the RREF (the tableau of the leftmost basis) and reaches every basis,
-    because the basis-exchange graph is connected.
+    Keys are increasing column tuples B; the value holds the dense rows of
+    A_B^(-1) A for A the RREF of the rows, row r carrying the identity at
+    column B[r].  Dependent rows are not an error here: their RREF is a
+    basis of their span, so a key is as long as the rank, and the callers
+    compare that with the number of rows.  The walk starts at the RREF (the
+    tableau of the leftmost basis) and reaches every basis, because the
+    basis-exchange graph is connected.
     """
-    seed_rows, seed = linalg.rref(A.rows, A.ring.field)
-    if len(seed_rows) != A.nrows:
-        raise ValueError("matrix rows are linearly dependent")
-    cells = {seed: seed_rows}
+    seed_rows, seed = linalg.rref(rows, ring.field)
+    zero = ring.field.zero()
+    cells = {seed: [[row.get(c, zero) for c in range(ring.n)]
+                    for row in seed_rows]}
     stack = [seed]
     while stack:
         markers = stack.pop()
@@ -210,25 +207,21 @@ def _tableaux(A):
 def matroid_bases(A):
     """All column index tuples carrying a non-vanishing maximal minor, in
     lexicographic order."""
-    return sorted(_tableaux(A))
+    cells = _tableaux(A.ring, [dict(enumerate(row)) for row in A.rows])
+    if len(next(iter(cells))) != A.nrows:
+        raise ValueError("matrix rows are linearly dependent")
+    return sorted(cells)
 
 
-def _prepare_matrix(forms, ring=None):
-    """Coefficient matrix of an independent basis of the span of the forms."""
-    forms = [f for f in forms if not f.is_zero()]
-    if ring is None and forms:
-        ring = forms[0].ring
-    if ring is None:
-        raise ValueError("cannot infer the ring from an empty tuple")
-    if not forms:
-        return CoeffMatrix(ring, [])
-    A = CoeffMatrix.from_forms(forms, ring)
-    if linalg.rank(A.rows, ring.field) != A.nrows:
+def _fan_cells(forms, ring):
+    """(ring, tableaux) of the span of the forms, reduced once; dependent
+    forms warn, and the walk starts from the basis their RREF gives."""
+    ring, rows = linear_rows(list(forms), ring)
+    cells = _tableaux(ring, rows)
+    if len(next(iter(cells))) != len(rows):
         warnings.warn("linear forms are dependent; auto-reducing to a basis",
                       stacklevel=3)
-        basis = linear_part_of_ideal(forms)
-        A = CoeffMatrix.from_forms(basis, ring)
-    return A
+    return ring, cells
 
 
 def gfan_linear(forms, ring=None):
@@ -238,11 +231,11 @@ def gfan_linear(forms, ring=None):
     lexicographic order of the marker index tuples.  The zero ideal has the
     one-element fan containing the empty basis.
     """
-    A = _prepare_matrix(forms, ring)
-    cells = _tableaux(A)
-    return [_marked_gb(A.ring, idx, cells[idx]) for idx in sorted(cells)]
+    ring, cells = _fan_cells(forms, ring)
+    return [_marked_gb(ring, idx, cells[idx]) for idx in sorted(cells)]
 
 
 def ltgfan_linear(forms, ring=None):
     """Leading-term fan: the marker sets of gfan_linear, same order."""
-    return [frozenset(idx) for idx in matroid_bases(_prepare_matrix(forms, ring))]
+    _, cells = _fan_cells(forms, ring)
+    return [frozenset(idx) for idx in sorted(cells)]

@@ -122,8 +122,11 @@ def _parse_ring_decl(ts):
         if tok[0] == ",":
             labels.append(ts.expect("name")[1])
         elif tok[0] == "name" and tok[1] == "mod":
-            p = int(ts.expect("int")[1])
-            field = PrimeField(p)
+            mod = ts.expect("int")
+            try:
+                field = PrimeField(int(mod[1]))
+            except ValueError as e:
+                raise ParseError(str(e), mod[2], mod[3]) from None
         elif tok[0] == ";":
             break
         else:

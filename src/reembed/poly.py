@@ -2,7 +2,7 @@
 
 A Poly is a finite map from exponent tuples to nonzero field elements.
 Instances are treated as immutable: every operation returns a new Poly and
-never mutates its operands, so values can be shared freely across threads.
+never mutates its operands, so one value can be shared by many callers.
 """
 
 from __future__ import annotations
@@ -277,11 +277,27 @@ class Poly:
 
 
 def linear_row(form):
-    """The dense coefficient row of a linear form, filled from its support."""
-    row = [form.ring.field.zero()] * form.ring.n
-    for t, c in form.coeffs.items():
-        row[t.index(1)] = c
-    return row
+    """The sparse coefficient row {index: coefficient} of a linear form."""
+    return {t.index(1): c for t, c in form.coeffs.items()}
+
+
+def linear_rows(forms, ring=None):
+    """(ring, sparse rows of the nonzero forms) for linear forms of one ring,
+    by default the first form's."""
+    if ring is None:
+        if not forms:
+            raise ValueError("cannot infer the ring from no forms")
+        ring = forms[0].ring
+    rows = []
+    for f in forms:
+        if f.ring != ring:
+            raise ValueError("forms from different rings")
+        if not f:
+            continue
+        if not f.is_linear_form():
+            raise ValueError(f"not a linear form: {f}")
+        rows.append(linear_row(f))
+    return ring, rows
 
 
 def linear_part_of_ideal(gens):
@@ -302,11 +318,6 @@ def linear_part_of_ideal(gens):
         lin = g.linear_part()
         if lin:
             rows.append(linear_row(lin))
-    if not rows:
-        return []
     reduced, _ = linalg.rref(rows, ring.field)
-    out = []
-    for row in reduced:
-        out.append(Poly(ring, {tvar(ring.n, i): c
-                               for i, c in enumerate(row) if c}))
-    return out
+    return [Poly(ring, {tvar(ring.n, i): c for i, c in sorted(row.items())})
+            for row in reduced]

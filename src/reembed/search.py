@@ -67,7 +67,9 @@ class SearchReport:
         return self.results[0] if self.results else None
 
 
-def _validate_input(gens, allow_full=False):
+def _validate_input(gens):
+    """(nonzero gens, ring, linear part): the linear part is reduced here,
+    once per search."""
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
         raise ValueError("empty generating set")
@@ -79,12 +81,11 @@ def _validate_input(gens, allow_full=False):
             raise ValueError("generators from different rings")
         if g.constant_coefficient():
             raise ValueError("generators must have zero constant term")
-    if not allow_full and all(g.total_degree() == 1 for g in gens):
-        basis = linear_part_of_ideal(gens)
-        if len(basis) == ring.n:
-            raise ValueError(
-                "the ideal is the full maximal ideal; nothing to re-embed")
-    return gens, ring
+    lin = linear_part_of_ideal(gens)
+    if len(lin) == ring.n and all(g.total_degree() == 1 for g in gens):
+        raise ValueError(
+            "the ideal is the full maximal ideal; nothing to re-embed")
+    return gens, ring, lin
 
 
 def _new_result(ring, check, lin_dim):
@@ -115,11 +116,15 @@ def candidate_tuples_via_gfan(gens, s=None):
     sorted; with s equal to the linear-part dimension these are exactly the
     marker sets themselves.
     """
+    return _fan_candidates(linear_part_of_ideal(gens), s)
+
+
+def _fan_candidates(lin, s):
+    """candidate_tuples_via_gfan on the reduced linear part lin."""
+    # imported per call, so a rebinding of linear_gfan.ltgfan_linear (as
+    # perfbench/spans.py makes) is seen
     from .linear_gfan import ltgfan_linear
 
-    gens = [g for g in gens if not g.is_zero()]
-    ring = gens[0].ring
-    lin = linear_part_of_ideal(gens)
     dim = len(lin)
     if dim == 0:
         return []
@@ -128,7 +133,7 @@ def candidate_tuples_via_gfan(gens, s=None):
     if s > dim or s < 1:
         raise ValueError(f"tuple size must be between 1 and {dim}")
     seen = set()
-    for markers in ltgfan_linear(lin, ring=ring):
+    for markers in ltgfan_linear(lin):
         for sub in combinations(sorted(markers), s):
             seen.add(sub)
     return sorted(seen)
@@ -141,9 +146,8 @@ def find_reembedding_via_gfan(gens, s=None, limit=DEFAULT_STEP_LIMIT):
     separating tuple of this size exists among them; any budget abort
     downgrades that claim to "inconclusive".
     """
-    gens, ring = _validate_input(gens)
-    lin_dim = len(linear_part_of_ideal(gens))
-    return _verify(gens, ring, lin_dim, candidate_tuples_via_gfan(gens, s),
+    gens, ring, lin = _validate_input(gens)
+    return _verify(gens, ring, len(lin), _fan_candidates(lin, s),
                    limit, first_only=True)
 
 
@@ -186,9 +190,7 @@ def find_reembedding_via_cotangent(gens, optimal_only=True,
     Requires a binomial linear part for the closed-form candidate set; a
     general linear part falls back to the fan candidates.
     """
-    gens, ring = _validate_input(gens)
-    lin = linear_part_of_ideal(gens)
-    lin_dim = len(lin)
+    gens, ring, lin = _validate_input(gens)
     binomial = all(len(f) <= 2 for f in lin)
     if binomial and lin:
         classes = cotangent_classes(lin, ring)
@@ -197,14 +199,14 @@ def find_reembedding_via_cotangent(gens, optimal_only=True,
         if lin:
             warnings.warn("linear part is not binomial; "
                           "falling back to fan candidates", stacklevel=2)
-        candidates = candidate_tuples_via_gfan(gens) if lin else []
+        candidates = _fan_candidates(lin, None)
         if not optimal_only:
             extra = set()
             for Z in candidates:
                 for r in range(1, len(Z)):
                     extra.update(combinations(Z, r))
             candidates = sorted(set(candidates) | extra)
-    return _verify(gens, ring, lin_dim, candidates, limit, first_only=False)
+    return _verify(gens, ring, len(lin), candidates, limit, first_only=False)
 
 
 def _verify(gens, ring, lin_dim, candidates, limit, first_only):

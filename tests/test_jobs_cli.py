@@ -3,6 +3,7 @@
 import json
 import pathlib
 import random
+import time
 
 import pytest
 
@@ -152,6 +153,34 @@ class TestRunJob:
         assert code == 0
         assert data["bases"] == [[]]
         assert data["gbs"] == [[]]
+
+
+class TestErrorPositions:
+    """A bad job file exits 1 with file:line:col of the bad line on stderr."""
+
+    @pytest.mark.parametrize("command,text,where,message", [
+        ("gfan-linear", "ring x, y, z;\nx + y\n\ny - z\nx*y + z\n",
+         "5:1", "not a linear form: x*y + z"),
+        ("gb", "# a comment\n\njob: frobnicate;\nring x, y;\nx\n",
+         "3:1", "unknown job command 'frobnicate'"),
+        ("gb", "ring x, y mod 91;\nx\n", "1:15", "91 is not prime"),
+    ], ids=("nonlinear-form", "unknown-directive", "composite-modulus"))
+    def test_error_names_its_line(self, tmp_path, capsys, command, text,
+                                  where, message):
+        bad = tmp_path / "bad.job"
+        bad.write_text(text)
+        assert main([command, str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}:{where}: {message}" in err
+
+    def test_huge_modulus_fails_fast(self, tmp_path, capsys):
+        bad = tmp_path / "bad.job"
+        bad.write_text(
+            "job: gb;\nring x, y mod 1000000000000000000000000000057;\nx\n")
+        start = time.perf_counter()
+        assert main(["gb", str(bad)]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert f"{bad}:2:15: modulus" in capsys.readouterr().err
 
 
 class TestRoundTrip:

@@ -36,6 +36,15 @@ def laplace_det(m):
     return total
 
 
+def dense_rref(rows, field):
+    """rref on dense rows: each goes in as its sparse row and the reduced
+    rows come back dense, so the checks below compare lists."""
+    ncols = len(rows[0]) if rows else 0
+    reduced, pivots = rref([dict(enumerate(row)) for row in rows], field)
+    zero = field.zero()
+    return [[row.get(c, zero) for c in range(ncols)] for row in reduced], pivots
+
+
 def random_int_matrix(rng, r, c, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)]
 
@@ -58,7 +67,7 @@ class TestBareiss:
         for _ in range(150):
             r, c = rng.randint(1, 5), rng.randint(1, 6)
             m = random_int_matrix(rng, r, c, -4, 4)
-            expect = len(rref(m, QQ)[0])
+            expect = len(dense_rref(m, QQ)[0])
             assert bareiss_rank_int(m) == expect
 
     def test_rank_of_rigged_dependent_rows(self):
@@ -75,7 +84,7 @@ class TestBareiss:
 
 class TestRref:
     def test_canonical_form(self):
-        rows, pivots = rref([[0, 2, 4], [1, 1, 1]], QQ)
+        rows, pivots = dense_rref([[0, 2, 4], [1, 1, 1]], QQ)
         assert pivots == (0, 1)
         assert rows == [[1, 0, -1], [0, 1, 2]]
 
@@ -83,15 +92,25 @@ class TestRref:
         rng = random.Random(24)
         for _ in range(60):
             m = random_rational_matrix(rng, rng.randint(1, 4), rng.randint(1, 6))
-            r1, piv1 = rref(m, QQ)
+            r1, piv1 = dense_rref(m, QQ)
             if not r1:
                 continue
-            r2, piv2 = rref(r1, QQ)
+            r2, piv2 = dense_rref(r1, QQ)
             assert r1 == r2 and piv1 == piv2
+
+    def test_sparse_rows_in_and_out(self):
+        rows = [{3: "0", 1: 2, 2: 4}, {0: 0, 2: "1/2", 1: 1}]
+        before = [dict(r) for r in rows]
+        got, pivots = rref(rows, QQ)
+        assert rows == before
+        assert pivots == (1, 2)
+        assert got == [{1: 1}, {2: 1}]
+        assert all(isinstance(x, type(QQ.one())) and x
+                   for row in got for x in row.values())
 
     def test_over_prime_field(self):
         f5 = PrimeField(5)
-        rows, pivots = rref([[2, 1], [4, 2]], f5)
+        rows, pivots = dense_rref([[2, 1], [4, 2]], f5)
         assert pivots == (0,)
         assert len(rows) == 1
         assert rows[0][0] == 1 and rows[0][1] == f5.of(3)
@@ -155,7 +174,7 @@ class TestRrefProperties:
     @example([[0, 0, 0], [0, 0, 0]])
     @example([[3], ["0"], ["-1/2"]])
     def test_matches_sympy_over_qq(self, rows):
-        got, pivots = rref(rows, QQ)
+        got, pivots = dense_rref(rows, QQ)
         ref, ref_pivots = sympy.Matrix(
             [[sympy.Rational(str(x)) for x in row] for row in rows]).rref()
         assert pivots == tuple(ref_pivots)
@@ -167,7 +186,7 @@ class TestRrefProperties:
     @example(rows=[[0, 0], [0, 0]])
     @example(rows=[[2], ["3/4"], [0]])
     def test_matches_dense_reference_over_prime_fields(self, p, rows):
-        got, pivots = rref(rows, PrimeField(p))
+        got, pivots = dense_rref(rows, PrimeField(p))
         assert (([[x.v for x in row] for row in got], pivots)
                 == dense_rref_mod(rows, p))
 

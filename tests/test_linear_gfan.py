@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from reembed.linalg import rref
+from reembed import linalg
 from reembed.field import PrimeField
 from reembed.linear_gfan import (
     CoeffMatrix,
@@ -22,7 +22,7 @@ from reembed.parse import parse_poly, parse_ring
 from reembed.poly import Poly
 from reembed.ring import Ring, tvar
 
-from test_linalg import laplace_det
+from test_linalg import dense_rref, laplace_det
 
 
 def coeff_matrix(ring, forms):
@@ -151,7 +151,7 @@ class TestMatroidBases:
         assert (0, 1, 2) not in bases
         assert (0, 1, 2) in matroid_bases(CoeffMatrix(Ring(ring.labels), rows))
         assert all(3 not in idx and not {1, 4} <= set(idx) for idx in bases)
-        base_rref = rref(A.rows, ring.field)
+        base_rref = dense_rref(A.rows, ring.field)
         fan = gfan_linear([A.form(i) for i in range(3)])
         assert [gb.markers for gb in fan] == bases
         for gb in fan:
@@ -159,7 +159,7 @@ class TestMatroidBases:
             for r, m in enumerate(gb.markers):
                 assert [row[m] for row in B.rows] == [int(i == r)
                                                        for i in range(3)]
-            assert rref(B.rows, ring.field) == base_rref
+            assert dense_rref(B.rows, ring.field) == base_rref
 
     def test_rank_deficient_rejected(self):
         ring = Ring("abc")
@@ -225,10 +225,41 @@ class TestGfanLinear:
 
     def test_row_space_preserved(self, ring_xyzw, fan24):
         A = CoeffMatrix.from_forms(fan24, ring_xyzw)
-        base_rref = rref(A.rows, ring_xyzw.field)
+        base_rref = dense_rref(A.rows, ring_xyzw.field)
         for gb in gfan_linear(fan24):
             B = CoeffMatrix.from_forms(gb.forms, ring_xyzw)
-            assert rref(B.rows, ring_xyzw.field) == base_rref
+            assert dense_rref(B.rows, ring_xyzw.field) == base_rref
+
+
+class TestReducedOnce:
+    """A fan reduces its forms once: one rref and no rank, dependent or
+    not."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            original = getattr(linalg, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("rref", "rank"):
+            monkeypatch.setattr(linalg, name, counting(name))
+        return calls
+
+    @pytest.mark.parametrize("fan", (gfan_linear, ltgfan_linear))
+    def test_one_rref_no_rank(self, calls, fan, fan24):
+        independent = fan(fan24)
+        assert calls == ["rref"]
+        calls.clear()
+        with pytest.warns(UserWarning, match="dependent"):
+            dependent = fan(list(fan24) + [fan24[0] - 2 * fan24[1]])
+        assert calls == ["rref"]
+        assert dependent == independent and len(independent) == 5
 
 
 class TestLtgfan:

@@ -1,10 +1,15 @@
 """The re-embedding searches and their certificates."""
 
 import random
+import re
 from itertools import combinations
 
 import pytest
+import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
+from reembed import search
 from reembed.groebner import check_Z_separating
 from reembed.parse import parse_poly, parse_ring
 from reembed.poly import Poly, linear_part_of_ideal
@@ -189,3 +194,120 @@ class TestCertificates:
         for g in twisted_curve:
             img = g.substitute(res.substitution)
             assert img.is_zero()
+
+
+class TestLinearPartOnce:
+    """A search reduces the linear part of its generators once."""
+
+    @pytest.fixture
+    def lin_calls(self, monkeypatch):
+        calls = []
+        original = search.linear_part_of_ideal
+
+        def counting(gens):
+            calls.append(len(gens))
+            return original(gens)
+
+        monkeypatch.setattr(search, "linear_part_of_ideal", counting)
+        return calls
+
+    def test_gfan_search(self, lin_calls, twisted_curve):
+        find_reembedding_via_gfan(twisted_curve, s=3)
+        assert len(lin_calls) == 1
+
+    def test_cotangent_search_with_linear_generators(self, lin_calls):
+        ring = parse_ring("ring x, y, z, w;")
+        gens = [parse_poly(s, ring) for s in ("x - y", "z - 2w")]
+        report = find_reembedding_via_cotangent(gens)
+        assert report.status == "all"
+        assert len(lin_calls) == 1
+
+    def test_cotangent_search_falling_back_to_the_fan(self, lin_calls):
+        ring = parse_ring("ring x, y, z, w;")
+        gens = [parse_poly("x + y - z + w^2", ring)]
+        with pytest.warns(UserWarning, match="not binomial"):
+            report = find_reembedding_via_cotangent(gens)
+        assert report.results
+        assert len(lin_calls) == 1
+
+
+# ---------- "yes" tuples against sympy on hidden-tuple ideals ----------
+
+Z_LABELS = ("a", "b")
+Y_LABELS = ("x", "y", "z")
+
+
+def sympy_expr(text, symbols):
+    """A polynomial printed by reembed (``1/2x^2*y``) as a sympy
+    expression: juxtaposed coefficients get a ``*``, ``^`` becomes ``**``."""
+    text = re.sub(r"(\d)([A-Za-z])", r"\1*\2", text).replace("^", "**")
+    return sympy.sympify(text, locals=symbols)
+
+
+@st.composite
+def hidden_tuple_ideals(draw):
+    """(ring text, generator texts): z_i - h_i(Y) for hidden Z, an optional
+    relation among Y, each generator plus multiples of the later ones.
+
+    h_i has at most one linear term, so the linear part stays binomial and
+    both searches run on their own candidates.
+    """
+    k = draw(st.integers(1, 2))
+    m = draw(st.integers(2, 3))
+    zs, ys = Z_LABELS[:k], Y_LABELS[:m]
+    coeff = st.integers(-3, 3).filter(bool)
+
+    def monomial(labels, degree):
+        factors = draw(st.lists(st.sampled_from(labels), min_size=degree,
+                                max_size=degree))
+        return f"({draw(coeff)})*" + "*".join(factors)
+
+    def image():
+        terms = [monomial(ys, draw(st.integers(2, 3)))
+                 for _ in range(draw(st.integers(0, 2)))]
+        if draw(st.booleans()):
+            terms.append(monomial(ys, 1))
+        return " + ".join(terms) or "0"
+
+    base = [f"{z} - ({image()})" for z in zs]
+    if draw(st.booleans()):
+        base.append(monomial(ys, draw(st.integers(2, 3))))
+    gens = []
+    for i, g in enumerate(base):
+        for later in base[i + 1:]:
+            if draw(st.booleans()):
+                g = f"{g} + ({monomial(zs + ys, 1)})*({later})"
+        gens.append(g)
+    order = draw(st.permutations(zs + ys))
+    return order, [gens[i] for i in draw(st.permutations(range(len(gens))))]
+
+
+class TestYesTuplesAgainstSympy:
+    """Every "yes" tuple Z with images h: each z - h(Y) lies in the ideal,
+    by sympy's reduced basis, and no h involves an indeterminate of Z."""
+
+    @pytest.mark.parametrize("modulus", (None, 101))
+    @given(ideal=hidden_tuple_ideals())
+    def test_yes_tuples_are_sound(self, modulus, ideal):
+        order, texts = ideal
+        mod = f" mod {modulus}" if modulus else ""
+        ring = parse_ring(f"ring {', '.join(order)}{mod};")
+        gens = [parse_poly(t, ring) for t in texts]
+        gens = [g for g in gens if g]
+        if not gens:
+            return
+        results = (find_reembedding_via_gfan(gens).results
+                   + find_reembedding_via_cotangent(gens).results)
+        if not results:
+            return
+        symbols = {s: sympy.Symbol(s) for s in order}
+        domain = {"modulus": modulus} if modulus else {"domain": "QQ"}
+        gb = sympy.groebner([sympy_expr(str(g), symbols) for g in gens],
+                            *symbols.values(), order="grevlex", **domain)
+        for res in results:
+            zset = {symbols[s] for s in res.z_labels()}
+            for z, h in res.substitution.items():
+                image = sympy_expr(str(h), symbols)
+                assert not image.free_symbols & zset
+                member = symbols[ring.labels[z]] - image
+                assert gb.reduce(member)[1] == 0
