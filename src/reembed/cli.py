@@ -71,8 +71,6 @@ def build_parser():
     p.add_argument("--alg", choices=("gfan", "cotangent"), default="gfan")
     p.add_argument("--size", type=int, default=None,
                    help="separating tuple size (default: linear-part dim)")
-    p.add_argument("--optimal-only", action="store_true", default=True,
-                   dest="optimal_only")
     p.add_argument("--subsets", action="store_false", dest="optimal_only",
                    help="also try non-optimal sub-tuples (explosive)")
     p.add_argument("--all", action="store_true", dest="all_results",
@@ -83,8 +81,6 @@ def build_parser():
     p.add_argument("--reembed", action="store_true", dest="chain_reembed",
                    help="chain the defining ideal into the re-embedding "
                         "search")
-    p.add_argument("--optimal-only", action="store_true", default=True,
-                   dest="optimal_only")
     p.add_argument("--subsets", action="store_false", dest="optimal_only")
     common(p)
 

@@ -2,8 +2,12 @@
 
 Polynomials enter and leave as Poly; internally a polynomial is a list of
 (key, term, coefficient) triples sorted descending, where key is the
-memoized ordering key of the term.  Subtraction is a sorted merge and
-multiplication by a term just shifts exponents, so reduction never re-sorts.
+memoized ordering key of the term.  One merge kernel, ``_sub_scaled``,
+computes every f - c * x^u * g: multiplication by a term just shifts
+exponents and the subtraction is a sorted merge, so nothing is re-sorted.
+Reduction steps, S-polynomials and interreduction all go through it.  The
+leading terms the engine keeps come back with the basis, so callers never
+recompute them.
 Pair handling follows Gebauer-Moeller; selection is the normal strategy
 (degree of the lcm, then the ordering on the lcm).  A step budget bounds the
 number of S-polynomial reductions; exhausting it aborts with a partial basis
@@ -12,7 +16,7 @@ instead of hanging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ordering import TermOrdering, degrevlex, elimination_for
 from .poly import Poly
@@ -61,43 +65,9 @@ def _monic(f):
     return [(k, t, cc / c) for k, t, cc in f]
 
 
-def _shift(f, u, key):
-    if not any(u):
-        return f
-    return [(key(tmul(t, u)), tmul(t, u), c) for _, t, c in f]
-
-
-def _sub(f, g):
-    """f - g for sorted triple lists."""
-    out = []
-    i = j = 0
-    nf, ng = len(f), len(g)
-    while i < nf and j < ng:
-        kf, kg = f[i][0], g[j][0]
-        if kf > kg:
-            out.append(f[i])
-            i += 1
-        elif kf < kg:
-            e = g[j]
-            out.append((e[0], e[1], -e[2]))
-            j += 1
-        else:
-            c = f[i][2] - g[j][2]
-            if c:
-                out.append((kf, f[i][1], c))
-            i += 1
-            j += 1
-    if i < nf:
-        out.extend(f[i:])
-    while j < ng:
-        e = g[j]
-        out.append((e[0], e[1], -e[2]))
-        j += 1
-    return out
-
-
 def _sub_scaled(f, pos, g, u, c, key):
-    """f[pos:] - c * x^u * g; the leading terms cancel by construction."""
+    """f[pos:] - c * x^u * g as one sorted merge: the engine's only
+    subtraction, for reduction steps and S-polynomials alike."""
     if any(u):
         g = [(key(tu), tu, cc)
              for tu, cc in ((tmul(t, u), cc) for _, t, cc in g)]
@@ -154,10 +124,12 @@ def _normal_form_internal(f, basis, lts, key):
 
 
 def _spoly(f, g, lt_f, lt_g, key):
+    """x^uf * f - x^ug * g for monic f, g, where the lcm of the leading
+    terms is the leading term of both products."""
     L = tlcm(lt_f, lt_g)
     uf = tuple(a - b for a, b in zip(L, lt_f))
     ug = tuple(a - b for a, b in zip(L, lt_g))
-    return _sub(_shift(f, uf, key), _shift(g, ug, key))
+    return _sub_scaled(_sub_scaled([], 0, f, uf, -1, key), 0, g, ug, 1, key)
 
 
 def _gm_update(G, lts, P, h, key):
@@ -198,11 +170,10 @@ def _minimalize(G, lts, key):
 
 
 def _interreduce(G, lts, key):
+    """Reduce each tail by the whole minimal basis, in place: lts[i] divides
+    no term below itself, so G[i] never reduces its own tail."""
     for i in sorted(range(len(G)), key=lambda i: key(lts[i])):
-        others = [G[j] for j in range(len(G)) if j != i]
-        olts = [lts[j] for j in range(len(G)) if j != i]
-        G[i] = _normal_form_internal(G[i], others, olts, key)
-    return G
+        G[i] = G[i][:1] + _normal_form_internal(G[i][1:], G, lts, key)
 
 
 # ---------- public engine ----------
@@ -219,13 +190,14 @@ class GBResult:
     ordering: TermOrdering
     status: str  # "complete" | "aborted"
     steps: int
+    lts: list    # leading term of each basis element, as the engine kept it
 
     @property
     def complete(self):
         return self.status == "complete"
 
     def leading_terms(self):
-        return [g.leading_term(self.ordering)[0] for g in self.basis]
+        return self.lts
 
     def contains(self, f):
         """Ideal membership; only meaningful for a complete basis."""
@@ -243,7 +215,7 @@ def buchberger(gens, ordering, limit=DEFAULT_STEP_LIMIT):
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
-        return GBResult([], ordering, "complete", 0)
+        return GBResult([], ordering, "complete", 0, [])
     ring = gens[0].ring
     for g in gens:
         if g.ring != ring:
@@ -277,11 +249,11 @@ def buchberger(gens, ordering, limit=DEFAULT_STEP_LIMIT):
 
     G, lts = _minimalize(G, lts, key)
     if not aborted:
-        G = _interreduce(G, lts, key)
+        _interreduce(G, lts, key)
     order = sorted(range(len(G)), key=lambda i: key(lts[i]), reverse=True)
     basis = [_unprep(ring, G[i]) for i in order]
     return GBResult(basis, ordering, "aborted" if aborted else "complete",
-                    steps)
+                    steps, [lts[i] for i in order])
 
 
 def normal_form(f, basis, ordering):
@@ -310,7 +282,6 @@ class SeparatingTuple:
     ring: Ring
     markers: tuple
     polys: tuple
-    coherent: bool = False
 
     def substitution(self):
         """The rewrite map z_i -> z_i - f_i (monic f_i assumed)."""
@@ -343,6 +314,7 @@ class ZSeparatingCheck:
     gb: GBResult
     sep_tuple: SeparatingTuple | None
     missing: tuple = ()
+    elimination_gens: list = field(default_factory=list)  # "yes": the rest
 
     @property
     def yes(self):
@@ -370,17 +342,18 @@ def check_Z_separating(gens, markers, limit=DEFAULT_STEP_LIMIT,
     if not gb.complete:
         return ZSeparatingCheck("inconclusive", gb, None)
     found = {}
-    for g in gb.basis:
-        t, _ = g.leading_term(o)
-        if tdeg(t) == 1:
+    rest = []
+    for g, t in zip(gb.basis, gb.leading_terms()):
+        if tdeg(t) == 1 and t.index(1) in markers:
             found[t.index(1)] = g
+        else:
+            rest.append(g)
     missing = tuple(z for z in markers if z not in found)
     if missing:
         return ZSeparatingCheck("no", gb, None, missing)
-    polys = tuple(found[z] for z in markers)
-    sep = SeparatingTuple(ring, markers, polys, coherent=True)
+    sep = SeparatingTuple(ring, markers, tuple(found[z] for z in markers))
     assert sep.is_coherent(), "reduced basis produced an incoherent tuple"
-    return ZSeparatingCheck("yes", gb, sep)
+    return ZSeparatingCheck("yes", gb, sep, elimination_gens=rest)
 
 
 def coherent_interreduce(tup, max_passes=1000, max_terms=200000):
@@ -415,7 +388,7 @@ def coherent_interreduce(tup, max_passes=1000, max_terms=200000):
                                                    max_terms=max_terms)
                     dirty = True
         if not dirty:
-            out = SeparatingTuple(ring, markers, tuple(polys), coherent=True)
+            out = SeparatingTuple(ring, markers, tuple(polys))
             assert out.is_coherent()
             return out
     raise CoherenceError("interreduction did not stabilize within budget")
@@ -428,7 +401,7 @@ def eliminate_by_substitution(gens, tup, max_terms=200000):
     every generator; the nonzero images generate the intersection with the
     marker-free subring.
     """
-    if not tup.coherent or not tup.is_coherent():
+    if not tup.is_coherent():
         raise ValueError("tuple must be coherent; run coherent_interreduce")
     images = tup.substitution()
     out = []

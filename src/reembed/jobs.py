@@ -10,6 +10,7 @@ notation of the worked examples.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 from .border_basis import BorderBasisScheme, form_string, order_ideal
@@ -64,59 +65,64 @@ def parse_ordering_spec(spec, ring):
 
 
 def parse_job(text, command=None):
-    """Parse a job file; raises ParseError with a position on bad input."""
-    lines = text.split("\n")
+    """Parse a job file; raises ParseError with a position on bad input.
+
+    Columns count from the start of the line: each line is parsed without
+    its indentation, and the indentation is added back to an error's
+    column."""
     directive = None
     ring = None
-    ring_line = 0
-    content = []   # (line number, text)
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+    content = []   # (line number, columns before the text, text)
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        code = raw.split("#", 1)[0]
+        line = code.strip()
         if not line:
             continue
+        indent = len(code) - len(code.lstrip())
         if ring is None and line.startswith("job:"):
             directive = line[4:].strip().rstrip(";").strip()
-            directive_line = lineno
+            directive_at = (lineno, indent + 1)
             continue
         if ring is None:
             if not line.startswith("ring"):
-                raise ParseError("expected a ring declaration", lineno, 1)
+                raise ParseError("expected a ring declaration", lineno,
+                                 indent + 1)
             try:
                 ring, _ = _parse_ring_decl(_TokenStream(line))
             except ParseError as e:
-                raise ParseError(str(e).split(": ", 1)[1], lineno, e.col) \
-                    from None
-            ring_line = lineno
+                raise ParseError(str(e).split(": ", 1)[1], lineno,
+                                 e.col + indent) from None
+            ring_at = (lineno, indent + 1)
             continue
-        content.append((lineno, line))
+        content.append((lineno, indent, line))
     if ring is None:
         raise ParseError("empty job file: no ring declaration", 1, 1)
     if directive is not None and directive not in COMMANDS:
-        raise ParseError(f"unknown job command {directive!r}",
-                         directive_line, 1)
+        raise ParseError(f"unknown job command {directive!r}", *directive_at)
     # an explicitly requested command wins over the file's directive, so one
     # input file can serve several views (gb, cotangent, reembed, ...)
     command = command or directive
     if command is None:
         raise ParseError("no job command given (job: line or subcommand)",
-                         ring_line, 1)
+                         *ring_at)
 
     spec = JobSpec(command=command, ring=ring, polys=[])
-    for lineno, line in content:
+    for lineno, indent, line in content:
+        offset = indent   # columns before the text being parsed
         try:
             if command == "bbs":
-                for piece in line.rstrip(";").split(","):
-                    piece = piece.strip()
-                    if piece:
-                        spec.terms.append(parse_term(piece, ring))
+                # each comma piece from its first non-blank character
+                for piece in re.finditer(r"[^,\s][^,]*", line.rstrip(";")):
+                    offset = indent + piece.start()
+                    spec.terms.append(parse_term(piece.group(), ring))
             else:
                 p = parse_poly(line.rstrip(";"), ring)
                 if command == "gfan-linear" and p and not p.is_linear_form():
                     raise ParseError(f"not a linear form: {p}", 1, 1)
                 spec.polys.append(p)
         except ParseError as e:
-            raise ParseError(str(e).split(": ", 1)[1], lineno, e.col) \
-                from None
+            raise ParseError(str(e).split(": ", 1)[1], lineno,
+                             e.col + offset) from None
     if command == "bbs":
         if not spec.terms:
             raise ParseError("order-ideal job needs at least one term", 1, 1)
@@ -256,7 +262,7 @@ def _search(spec):
                                            limit=spec.budget)
     for res in report.results:
         res.optimal = certify_optimal(res, gens)
-        cell = certify_affine_cell(res, gens, limit=spec.budget)
+        cell = certify_affine_cell(res, gens)
         if cell is not None:
             res.affine_cell = cell
     return report

@@ -4,8 +4,8 @@ Ring declarations look like ``ring x, y, z, w;`` (optionally
 ``ring x, y mod 7;`` for a prime field).  Polynomials are infix with
 rational coefficients written a/b, ``^`` for powers and optional ``*``:
 ``x^2*y - 1/2y^3 + 3z`` parses, and juxtaposition such as ``2w`` means
-multiplication.  Identifiers are maximal runs, so distinct indeterminates
-must be separated by ``*`` or whitespace plus ``*``.
+multiplication.  Identifiers are maximal runs, so ``xy`` is one
+identifier while ``x y`` and ``x*y`` both parse as the product of x and y.
 """
 
 from __future__ import annotations

@@ -24,7 +24,6 @@ from .groebner import (
     eliminate_by_substitution,
 )
 from .poly import linear_part_of_ideal
-from .ring import tdeg
 
 
 @dataclass
@@ -90,20 +89,15 @@ def _validate_input(gens):
 
 def _new_result(ring, check, lin_dim):
     sep = check.sep_tuple
-    o = check.gb.ordering
-    zset = set(sep.markers)
-    elimination_gens = [g for g in check.gb.basis
-                        if not (tdeg(g.leading_term(o)[0]) == 1
-                                and g.leading_term(o)[0].index(1) in zset)]
-    Y = tuple(i for i in range(ring.n) if i not in zset)
+    Y = tuple(i for i in range(ring.n) if i not in sep.markers)
     return ReembeddingResult(
         ring=ring,
         Z=tuple(sep.markers),
         Y=Y,
         substitution=sep.substitution(),
-        elimination_gens=elimination_gens,
+        elimination_gens=check.elimination_gens,
         optimal=(len(sep.markers) == lin_dim),
-        affine_cell=(not elimination_gens),
+        affine_cell=(not check.elimination_gens),
         certificate=check.gb,
         sep_tuple=sep,
     )
@@ -255,8 +249,7 @@ def certify_optimal(result, gens):
     return True
 
 
-def certify_affine_cell(result, gens, limit=DEFAULT_STEP_LIMIT,
-                        max_terms=200000):
+def certify_affine_cell(result, gens, max_terms=200000):
     """True iff the separating substitution kills every generator.
 
     Substitutes the coherent tuple into all generators; an empty image

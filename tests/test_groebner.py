@@ -7,6 +7,9 @@ import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
+from sympy.polys.orderings import ProductOrder
+from sympy.polys.orderings import grevlex as sympy_grevlex
+from sympy.polys.orderings import lex as sympy_lex
 
 from reembed import groebner
 from reembed.border_basis import BorderBasisScheme, order_ideal
@@ -170,7 +173,7 @@ class TestCoherentInterreduce:
         tup = SeparatingTuple(ring_xyzw, ring_xyzw.indices(("x", "y")),
                               (f1, f2))
         out = coherent_interreduce(tup)
-        assert out.coherent
+        assert out.is_coherent()
         assert out.polys[0] == parse_poly("z*w^2 + w^3 + w^2 + x + 3z",
                                           ring_xyzw)
         assert out.polys[1] == f2
@@ -242,6 +245,15 @@ class TestEliminateBySubstitution:
         o = degrevlex(3)
         gb = buchberger(images, o)
         assert gb.basis == [parse_poly("y^4 + y^2", ring_xyz)]
+
+    def test_hand_built_coherent_tuple_accepted(self):
+        # coherence is a property of the polynomials, not of how the tuple
+        # was made
+        ring = parse_ring("ring x, y;")
+        f = parse_poly("x - y^2", ring)
+        tup = SeparatingTuple(ring, (0,), (f,))
+        assert tup.is_coherent()
+        assert eliminate_by_substitution([f], tup) == []
 
     def test_incoherent_tuple_rejected(self, ring_xyzw, graph_surface):
         f1, f2, _ = graph_surface
@@ -368,15 +380,30 @@ def small_ideals(draw):
     return n, p, draw(st.lists(gen, min_size=1, max_size=3))
 
 
-def _canonical(basis, order, p):
+def _two_grevlex_blocks(k):
+    """sympy's product of grevlex on the first k indeterminates and grevlex
+    on the rest."""
+    return ProductOrder((sympy_grevlex, lambda m: m[:k]),
+                        (sympy_grevlex, lambda m: m[k:]))
+
+
+# order name -> (the engine's ordering of a ring, sympy's order for n
+# indeterminates); the block orders are the ones the separating check uses
+ORDERS = {
+    "lex": (lambda ring: lex(ring.n), lambda n: sympy_lex),
+    "grevlex": (lambda ring: degrevlex(ring.n), lambda n: sympy_grevlex),
+    "elimination-one": (lambda ring: elimination_for(ring, [0]),
+                        lambda n: _two_grevlex_blocks(1)),
+    "degree-block": (
+        lambda ring: elimination_degree_block(range(ring.n - 1), ring.n),
+        lambda n: _two_grevlex_blocks(n - 1)),
+}
+
+
+def _canonical(basis, key, p):
     """A basis of {exponent tuple: coefficient} dicts as a set of monic
-    polynomials under sympy's lex or grevlex; coefficients are ints mod p,
-    or Fractions for p = 0."""
-    if order == "lex":
-        key = tuple
-    else:
-        def key(e):
-            return (sum(e), tuple(-x for x in reversed(e)))
+    polynomials, leading terms taken under the sympy monomial order key;
+    coefficients are ints mod p, or Fractions for p = 0."""
     out = set()
     for d in basis:
         lead = d[max(d, key=key)]
@@ -387,12 +414,14 @@ def _canonical(basis, order, p):
 
 
 class TestBuchbergerAgainstSympy:
-    @pytest.mark.parametrize("order", ("lex", "grevlex"))
+    @pytest.mark.parametrize("order", tuple(ORDERS))
     @given(ideal=small_ideals())
     def test_reduced_basis_and_members(self, order, ideal):
         n, p, gens = ideal
         ring = Ring([f"x{i}" for i in range(n)], PrimeField(p) if p else QQ)
-        ordering = lex(n) if order == "lex" else degrevlex(n)
+        ours, theirs = ORDERS[order]
+        ordering = ours(ring)
+        sympy_order = theirs(n)
         fs = [Poly(ring, g) for g in gens]
         gb = buchberger(fs, ordering)
         assert gb.complete
@@ -403,10 +432,13 @@ class TestBuchbergerAgainstSympy:
         exprs = [sum(c * sympy.prod(x ** k for x, k in zip(xs, e))
                      for e, c in g.items()) for g in gens]
         field = {"modulus": p} if p else {"domain": sympy.QQ}
-        ref = sympy.groebner(exprs, *xs, order=order, **field)
+        ref = sympy.groebner(exprs, *xs, order=sympy_order, **field)
         want = [{e: int(c) % p if p else Fraction(int(c.p), int(c.q))
                  for e, c in q.terms()} for q in ref.polys]
-        assert _canonical(got, order, p) == _canonical(want, order, p)
+        assert _canonical(got, sympy_order, p) == \
+            _canonical(want, sympy_order, p)
+        # the leading terms the engine returns are the basis' own
+        assert gb.leading_terms() == [max(d, key=sympy_order) for d in got]
 
         # every combination of the generators reduces to 0
         rng = random.Random(repr(ideal))

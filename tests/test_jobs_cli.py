@@ -164,7 +164,18 @@ class TestErrorPositions:
         ("gb", "# a comment\n\njob: frobnicate;\nring x, y;\nx\n",
          "3:1", "unknown job command 'frobnicate'"),
         ("gb", "ring x, y mod 91;\nx\n", "1:15", "91 is not prime"),
-    ], ids=("nonlinear-form", "unknown-directive", "composite-modulus"))
+        # columns count from the start of the line, indentation included
+        ("gb", "ring x, y;\n    x + q\n", "2:9", "unknown indeterminate 'q'"),
+        ("gb", "  ring x, y mod 91;\nx\n", "1:17", "91 is not prime"),
+        ("gfan-linear", "ring x, y, z;\n  x*y + z\n", "2:3",
+         "not a linear form: x*y + z"),
+        ("bbs", "job: bbs;\nring x, y;\n  x^2, y y z\n", "3:12",
+         "unknown indeterminate 'z'"),
+        ("bbs", "job: bbs;\nring x, y;\n  x^2, 2y\n", "3:8",
+         "expected a term with coefficient 1"),
+    ], ids=("nonlinear-form", "unknown-directive", "composite-modulus",
+            "indented-form", "indented-ring", "indented-nonlinear-form",
+            "bbs-term", "bbs-coefficient"))
     def test_error_names_its_line(self, tmp_path, capsys, command, text,
                                   where, message):
         bad = tmp_path / "bad.job"
