@@ -9,7 +9,7 @@ Submodules:
   linear_gfan   Groebner fans of linear ideals by a walk of tableau pivots
   cotangent     cotangent equivalence classes and closed-form fans
   groebner      Buchberger engine, separating-tuple checks, elimination
-  search        the two re-embedding search algorithms and certificates
+  search        the two searches; certify_* cross-check their flags
   border_basis  border basis scheme construction and structural checks
   jobs, cli     job files, reports, and the command line
 """

@@ -22,7 +22,7 @@ from .parse import ParseError, _parse_ring_decl, _TokenStream, parse_poly, parse
 from .poly import linear_part_of_ideal
 from .search import (
     certify_affine_cell,
-    certify_optimal,
+    certify_optimal,  # not called here: perfbench/spans.py binds it here
     find_reembedding_via_cotangent,
     find_reembedding_via_gfan,
 )
@@ -125,9 +125,10 @@ def parse_job(text, command=None):
                              e.col + offset) from None
     if command == "bbs":
         if not spec.terms:
-            raise ParseError("order-ideal job needs at least one term", 1, 1)
+            raise ParseError("order-ideal job needs at least one term",
+                             *ring_at)
     elif not spec.polys:
-        raise ParseError("job needs at least one polynomial", 1, 1)
+        raise ParseError("job needs at least one polynomial", *ring_at)
     return spec
 
 
@@ -236,7 +237,7 @@ def _run_cotangent(spec):
 
 def _result_data(res):
     labels = res.ring.labels
-    out = {
+    return {
         "Z": [labels[i] for i in res.Z],
         "Y": [labels[i] for i in res.Y],
         "substitution": {labels[z]: str(h)
@@ -244,15 +245,13 @@ def _result_data(res):
         "elimination_gens": [str(g) for g in res.elimination_gens],
         "optimal": res.optimal,
         "affine_cell": res.affine_cell,
+        "certificate": [g.to_string(res.certificate.ordering)
+                        for g in res.certificate.basis],
     }
-    if res.certificate is not None:
-        o = res.certificate.ordering
-        out["certificate"] = [g.to_string(o) for g in res.certificate.basis]
-    return out
 
 
 def _search(spec):
-    """Run the job's candidate search on its polys; certify every result."""
+    """Run the job's candidate search; certify each result's affine cell."""
     gens = spec.polys
     if spec.alg == "cotangent" or spec.all_results:
         report = find_reembedding_via_cotangent(
@@ -261,7 +260,6 @@ def _search(spec):
         report = find_reembedding_via_gfan(gens, s=spec.size,
                                            limit=spec.budget)
     for res in report.results:
-        res.optimal = certify_optimal(res, gens)
         cell = certify_affine_cell(res, gens)
         if cell is not None:
             res.affine_cell = cell

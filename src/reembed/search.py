@@ -4,7 +4,7 @@ Two candidate generators feed one verification loop: the fan route collects
 s-subsets of the marker sets of the linear part's Groebner fan; the
 cotangent route enumerates candidates class by class (closed form for
 binomial linear parts).  Every candidate is verified by the elimination
-Groebner-basis check; successful tuples come back with the substitution
+Groebner-basis check, whose basis decides each result: the substitution
 map, the elimination ideal generators, and optimality / affine-cell flags.
 """
 
@@ -37,7 +37,7 @@ class ReembeddingResult:
     elimination_gens: list      # generators of the image ideal
     optimal: bool
     affine_cell: bool
-    certificate: GBResult | None
+    certificate: GBResult       # the basis that verified the tuple
     sep_tuple: SeparatingTuple
 
     def z_labels(self):
@@ -232,6 +232,7 @@ def _verify(gens, ring, lin_dim, candidates, limit, first_only):
 def certify_optimal(result, gens):
     """True iff the tuple size equals the linear-part dimension.
 
+    An independent cross-check of ``result.optimal``; jobs do not run it.
     When true, the structural facts must hold as well: trivial
     indeterminates all separated, and exactly one remaining indeterminate
     per proper cotangent class.
@@ -268,9 +269,7 @@ def certify_affine_cell(result, gens, max_terms=200000):
         return False
     # cross-check on the certificate: a complete elimination basis may not
     # carry any generator outside the separated block
-    cert = result.certificate
-    if cert is not None and cert.complete:
-        assert not result.elimination_gens, \
-            "substitution killed the generators but the basis disagrees"
+    assert not result.elimination_gens, \
+        "substitution killed the generators but the basis disagrees"
     return True
 

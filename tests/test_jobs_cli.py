@@ -3,10 +3,12 @@
 import json
 import pathlib
 import random
+import shlex
 import time
 
 import pytest
 
+from reembed import search
 from reembed.cli import main
 from reembed.jobs import JobSpec, parse_job, parse_ordering_spec, run_job
 from reembed.ordering import degrevlex, elimination_for, lex
@@ -62,27 +64,59 @@ class TestParseJob:
             parse_ordering_spec("mystery", ring)
 
 
-GOLDENS = [
-    ("fan_two_forms", ["gfan-linear", "--json"]),
-    ("gb_ten_generators", ["gb", "--ordering", "elim(x)", "--json"]),
-    ("reembed_twisted_curve", ["reembed", "--alg", "gfan", "--size", "3",
-                               "--json"]),
-    ("reembed_graph_surface", ["reembed", "--alg", "cotangent", "--all",
-                               "--json"]),
-    ("bbs_staircase", ["bbs", "--reembed", "--json"]),
-]
+def _run_lines():
+    """{job name: argv} from the ``# Run:`` comment of every job file."""
+    runs = {}
+    for job in sorted(JOBS.glob("*.job")):
+        for line in job.read_text().splitlines():
+            if line.startswith("# Run:"):
+                runs[job.stem] = shlex.split(line[len("# Run:"):])
+    return runs
+
+
+RUNS = _run_lines()
 
 
 class TestGolden:
-    @pytest.mark.parametrize("name,argv", GOLDENS, ids=[g[0] for g in GOLDENS])
-    def test_byte_identical_reports(self, name, argv, capsys):
-        code = main(argv + [str(JOBS / f"{name}.job")])
+    """Each golden is the output of the command its job file documents."""
+
+    @staticmethod
+    def _argv(name):
+        argv = RUNS[name]
+        assert argv[0] == "reembed" and argv[-1] == f"{name}.job"
+        return argv[1:-1] + [str(JOBS / f"{name}.job")]
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_byte_identical_reports(self, name, capsys):
+        code = main(self._argv(name))
         out = capsys.readouterr().out
         assert out == (JOBS / "golden" / f"{name}.json").read_text()
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "name", sorted(n for n in RUNS if RUNS[n][1] == "reembed"))
+    def test_reembed_job_reduces_its_linear_part_once(self, name, capsys,
+                                                      monkeypatch):
+        # each result's optimal flag comes from the check that verified it
+        calls = []
+        original = search.linear_part_of_ideal
+
+        def counting(gens):
+            calls.append(len(gens))
+            return original(gens)
+
+        monkeypatch.setattr(search, "linear_part_of_ideal", counting)
+        assert main(self._argv(name)) == 0
+        assert json.loads(capsys.readouterr().out)["results"]
+        assert len(calls) == 1
+
+    def test_every_golden_has_a_documented_job(self):
+        # and every job file with a Run: line has a golden
+        goldens = {g.stem for g in (JOBS / "golden").glob("*.json")}
+        assert goldens == set(RUNS)
+
     def test_schema_field_present(self):
-        for name, _ in GOLDENS:
+        for name in RUNS:
             data = json.loads((JOBS / "golden" / f"{name}.json").read_text())
             assert data["schema"] == 1
 
@@ -173,9 +207,14 @@ class TestErrorPositions:
          "unknown indeterminate 'z'"),
         ("bbs", "job: bbs;\nring x, y;\n  x^2, 2y\n", "3:8",
          "expected a term with coefficient 1"),
+        # a job without content errors at its ring declaration
+        ("gb", "# note\nring x, y;\n", "2:1",
+         "job needs at least one polynomial"),
+        ("bbs", "# note\nring x, y;\n", "2:1",
+         "order-ideal job needs at least one term"),
     ], ids=("nonlinear-form", "unknown-directive", "composite-modulus",
             "indented-form", "indented-ring", "indented-nonlinear-form",
-            "bbs-term", "bbs-coefficient"))
+            "bbs-term", "bbs-coefficient", "no-polynomial", "no-term"))
     def test_error_names_its_line(self, tmp_path, capsys, command, text,
                                   where, message):
         bad = tmp_path / "bad.job"

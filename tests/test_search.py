@@ -8,6 +8,7 @@ import pytest
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from reembed import search
 from reembed.groebner import check_Z_separating
@@ -284,7 +285,11 @@ def hidden_tuple_ideals(draw):
 
 class TestYesTuplesAgainstSympy:
     """Every "yes" tuple Z with images h: each z - h(Y) lies in the ideal,
-    by sympy's reduced basis, and no h involves an indeterminate of Z."""
+    by sympy's reduced basis, and no h involves an indeterminate of Z.  Its
+    flags agree with sympy: ``affine_cell`` exactly when substituting h
+    kills every generator, ``optimal`` exactly when Z has the rank of the
+    generators' linear coefficients; and with the ``certify_*``
+    cross-checks."""
 
     @pytest.mark.parametrize("modulus", (None, 101))
     @given(ideal=hidden_tuple_ideals())
@@ -301,13 +306,31 @@ class TestYesTuplesAgainstSympy:
         if not results:
             return
         symbols = {s: sympy.Symbol(s) for s in order}
+        syms = list(symbols.values())
         domain = {"modulus": modulus} if modulus else {"domain": "QQ"}
-        gb = sympy.groebner([sympy_expr(str(g), symbols) for g in gens],
-                            *symbols.values(), order="grevlex", **domain)
+        exprs = [sympy_expr(str(g), symbols) for g in gens]
+        gb = sympy.groebner(exprs, *syms, order="grevlex", **domain)
+        linear = [[sympy.Poly(e, *syms, **domain).coeff_monomial(x)
+                   for x in syms] for e in exprs]
+        if modulus:
+            field = sympy.GF(modulus)
+            rank = DomainMatrix([[field(int(c)) for c in row]
+                                 for row in linear],
+                                (len(linear), len(syms)), field).rank()
+        else:
+            rank = sympy.Matrix(linear).rank()
         for res in results:
             zset = {symbols[s] for s in res.z_labels()}
+            images = {}
             for z, h in res.substitution.items():
                 image = sympy_expr(str(h), symbols)
                 assert not image.free_symbols & zset
                 member = symbols[ring.labels[z]] - image
                 assert gb.reduce(member)[1] == 0
+                images[symbols[ring.labels[z]]] = image
+            killed = all(sympy.Poly(e.xreplace(images), *syms,
+                                    **domain).is_zero for e in exprs)
+            assert res.affine_cell == killed
+            assert res.optimal == (len(res.Z) == rank)
+            assert res.affine_cell == certify_affine_cell(res, gens)
+            assert res.optimal == certify_optimal(res, gens)
