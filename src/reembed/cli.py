@@ -10,10 +10,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 
 from .groebner import DEFAULT_STEP_LIMIT
-from .jobs import parse_job, run_job
+from .jobs import JobSpec, parse_job, run_job
 from .parse import ParseError
+
+# every flag stores into the JobSpec field of its dest name
+SPEC_FIELDS = {f.name for f in fields(JobSpec)}
 
 
 def _env_int(name, default):
@@ -52,7 +56,8 @@ def build_parser():
                             "(default REEMBED_BUDGET or 10^6)")
 
     p = sub.add_parser("gb", help="reduced basis under a chosen ordering")
-    p.add_argument("--ordering", default="degrevlex",
+    p.add_argument("--ordering", default="degrevlex", dest="ordering_spec",
+                   metavar="ORDERING",
                    help="degrevlex | lex | elim(z1,z2,...) | weight matrix "
                         "as JSON rows")
     common(p)
@@ -70,18 +75,17 @@ def build_parser():
     p = sub.add_parser("reembed", help="search for separating re-embeddings")
     p.add_argument("--alg", choices=("gfan", "cotangent"), default="gfan")
     p.add_argument("--size", type=int, default=None,
-                   help="separating tuple size (default: linear-part dim)")
-    p.add_argument("--subsets", action="store_false", dest="optimal_only",
-                   help="also try non-optimal sub-tuples (explosive)")
+                   help="separating tuple size, --alg gfan only "
+                        "(default: linear-part dim)")
     p.add_argument("--all", action="store_true", dest="all_results",
-                   help="collect every verified tuple instead of the first")
+                   help="with --alg gfan, collect every verified tuple "
+                        "instead of the first (--alg cotangent always does)")
     common(p)
 
     p = sub.add_parser("bbs", help="border basis scheme construction")
     p.add_argument("--reembed", action="store_true", dest="chain_reembed",
                    help="chain the defining ideal into the re-embedding "
                         "search")
-    p.add_argument("--subsets", action="store_false", dest="optimal_only")
     common(p)
 
     return top
@@ -97,14 +101,11 @@ def main(argv=None):
         return 1
     try:
         spec = parse_job(text, command=args.command)
-        spec.budget = args.budget if args.budget is not None else \
-            _env_int("REEMBED_BUDGET", DEFAULT_STEP_LIMIT)
-        spec.json_out = args.json_out
-        for name in ("ordering_spec", "size", "alg", "optimal_only",
-                     "all_results", "chain_reembed", "show_fan"):
-            cli_name = {"ordering_spec": "ordering"}.get(name, name)
-            if hasattr(args, cli_name):
-                setattr(spec, name, getattr(args, cli_name))
+        for name, value in vars(args).items():
+            if name in SPEC_FIELDS:
+                setattr(spec, name, value)
+        if args.budget is None:
+            spec.budget = _env_int("REEMBED_BUDGET", DEFAULT_STEP_LIMIT)
         report = run_job(spec)
     except ParseError as e:
         print(f"error: {args.jobfile}:{e}", file=sys.stderr)

@@ -23,6 +23,9 @@ from .poly import Poly
 from .ring import Ring, tdeg, tdivides, tlcm, tmul, tvar
 
 DEFAULT_STEP_LIMIT = 10 ** 6
+# support cap of each Poly.substitute call that coherent_interreduce and
+# eliminate_by_substitution make
+SUBSTITUTION_MAX_TERMS = 200000
 
 
 class CoherenceError(RuntimeError):
@@ -356,7 +359,7 @@ def check_Z_separating(gens, markers, limit=DEFAULT_STEP_LIMIT,
     return ZSeparatingCheck("yes", gb, sep, elimination_gens=rest)
 
 
-def coherent_interreduce(tup, max_passes=1000, max_terms=200000):
+def coherent_interreduce(tup, max_passes=1000):
     """Rewrite a separating tuple so no marker crosses into another member.
 
     Each pass substitutes z_j -> z_j - f_j into any member still containing
@@ -384,8 +387,8 @@ def coherent_interreduce(tup, max_passes=1000, max_terms=200000):
                     continue
                 if any(t[z] for t in polys[i].coeffs):
                     image = Poly.variable(ring, z) - polys[j]
-                    polys[i] = polys[i].substitute({z: image},
-                                                   max_terms=max_terms)
+                    polys[i] = polys[i].substitute(
+                        {z: image}, max_terms=SUBSTITUTION_MAX_TERMS)
                     dirty = True
         if not dirty:
             out = SeparatingTuple(ring, markers, tuple(polys))
@@ -394,7 +397,7 @@ def coherent_interreduce(tup, max_passes=1000, max_terms=200000):
     raise CoherenceError("interreduction did not stabilize within budget")
 
 
-def eliminate_by_substitution(gens, tup, max_terms=200000):
+def eliminate_by_substitution(gens, tup):
     """Generators of the elimination ideal via marker substitution.
 
     Substitutes z_i -> z_i - f_i (a polynomial free of all markers) into
@@ -406,7 +409,7 @@ def eliminate_by_substitution(gens, tup, max_terms=200000):
     images = tup.substitution()
     out = []
     for g in gens:
-        img = g.substitute(images, max_terms=max_terms)
+        img = g.substitute(images, max_terms=SUBSTITUTION_MAX_TERMS)
         if not img.is_zero():
             out.append(img)
     return out

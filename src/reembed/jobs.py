@@ -42,7 +42,6 @@ class JobSpec:
     size: int | None = None
     budget: int = DEFAULT_STEP_LIMIT
     alg: str = "gfan"
-    optimal_only: bool = True
     all_results: bool = False
     chain_reembed: bool = False
     show_fan: bool = False
@@ -253,12 +252,14 @@ def _result_data(res):
 def _search(spec):
     """Run the job's candidate search; certify each result's affine cell."""
     gens = spec.polys
-    if spec.alg == "cotangent" or spec.all_results:
-        report = find_reembedding_via_cotangent(
-            gens, optimal_only=spec.optimal_only, limit=spec.budget)
+    if spec.alg == "cotangent":
+        if spec.size is not None:
+            raise ValueError("--size needs --alg gfan")
+        report = find_reembedding_via_cotangent(gens, limit=spec.budget)
     else:
-        report = find_reembedding_via_gfan(gens, s=spec.size,
-                                           limit=spec.budget)
+        report = find_reembedding_via_gfan(
+            gens, s=spec.size, limit=spec.budget,
+            first_only=not spec.all_results)
     for res in report.results:
         cell = certify_affine_cell(res, gens)
         if cell is not None:
@@ -337,8 +338,7 @@ def _run_bbs(spec):
     exit_code = 0
     if spec.chain_reembed and gens:
         sub = JobSpec(command="reembed", ring=scheme.cring, polys=gens,
-                      budget=spec.budget, alg="cotangent",
-                      optimal_only=spec.optimal_only)
+                      budget=spec.budget, alg="cotangent")
         inner = _search(sub)
         summary = {
             "status": inner.status,

@@ -1,18 +1,19 @@
 """Search for separating re-embeddings and certify the results.
 
-Two candidate generators feed one verification loop: the fan route collects
-s-subsets of the marker sets of the linear part's Groebner fan; the
-cotangent route enumerates candidates class by class (closed form for
-binomial linear parts).  Every candidate is verified by the elimination
-Groebner-basis check, whose basis decides each result: the substitution
-map, the elimination ideal generators, and optimality / affine-cell flags.
+Two candidate generators feed one verification loop: the fan route tries
+s-subsets of the marker sets of the linear part's Groebner fan, the first
+"yes" or every one; the cotangent route collects every verified marker set
+(closed form for binomial linear parts).  Every candidate is verified by
+the elimination Groebner-basis check, whose basis decides each result: the
+substitution map, the elimination ideal generators, and optimality /
+affine-cell flags.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations
 
 from .cotangent import cotangent_classes, enumerate_ltgfan_binomial
 from .groebner import (
@@ -133,8 +134,10 @@ def _fan_candidates(lin, s):
     return sorted(seen)
 
 
-def find_reembedding_via_gfan(gens, s=None, limit=DEFAULT_STEP_LIMIT):
-    """First verified tuple among the fan candidates, smallest first.
+def find_reembedding_via_gfan(gens, s=None, limit=DEFAULT_STEP_LIMIT,
+                              first_only=True):
+    """Verified tuples among the fan candidates, smallest first: the first
+    one only, or with first_only=False every one.
 
     Exhausting all candidates with conclusive "no" answers certifies that no
     separating tuple of this size exists among them; any budget abort
@@ -142,43 +145,18 @@ def find_reembedding_via_gfan(gens, s=None, limit=DEFAULT_STEP_LIMIT):
     """
     gens, ring, lin = _validate_input(gens)
     return _verify(gens, ring, len(lin), _fan_candidates(lin, s),
-                   limit, first_only=True)
+                   limit, first_only)
 
 
-def candidate_tuples_via_cotangent(classes, optimal_only=True):
-    """Candidate marker tuples from the cotangent classes.
-
-    In optimal mode: the trivial class joined with every proper class minus
-    one member, enumerated by class index then deleted-member index.
-    Otherwise: all unions of a subset of the trivial class with a proper
-    subset of each proper class (combinatorially explosive; opt in).
+def candidate_tuples_via_cotangent(classes):
+    """Candidate marker tuples from the cotangent classes: the trivial class
+    joined with every proper class minus one member, enumerated by class
+    index then deleted-member index.  These are the marker sets of the fan.
     """
-    if optimal_only:
-        return [tuple(sorted(s)) for s in enumerate_ltgfan_binomial(classes)]
-    trivial = sorted(classes.trivial)
-    out = []
-    trivial_subsets = []
-    for r in range(len(trivial) + 1):
-        trivial_subsets.extend(combinations(trivial, r))
-    per_class = []
-    for e in classes.proper:
-        members = sorted(e)
-        subs = []
-        for r in range(len(members)):
-            subs.extend(combinations(members, r))
-        per_class.append(subs)
-    for t0 in trivial_subsets:
-        for picks in product(*per_class):
-            z = list(t0)
-            for part in picks:
-                z.extend(part)
-            if z:
-                out.append(tuple(sorted(z)))
-    return out
+    return [tuple(sorted(s)) for s in enumerate_ltgfan_binomial(classes)]
 
 
-def find_reembedding_via_cotangent(gens, optimal_only=True,
-                                   limit=DEFAULT_STEP_LIMIT):
+def find_reembedding_via_cotangent(gens, limit=DEFAULT_STEP_LIMIT):
     """All verified tuples among the cotangent-class candidates.
 
     Requires a binomial linear part for the closed-form candidate set; a
@@ -188,18 +166,12 @@ def find_reembedding_via_cotangent(gens, optimal_only=True,
     binomial = all(len(f) <= 2 for f in lin)
     if binomial and lin:
         classes = cotangent_classes(lin, ring)
-        candidates = candidate_tuples_via_cotangent(classes, optimal_only)
+        candidates = candidate_tuples_via_cotangent(classes)
     else:
         if lin:
             warnings.warn("linear part is not binomial; "
                           "falling back to fan candidates", stacklevel=2)
         candidates = _fan_candidates(lin, None)
-        if not optimal_only:
-            extra = set()
-            for Z in candidates:
-                for r in range(1, len(Z)):
-                    extra.update(combinations(Z, r))
-            candidates = sorted(set(candidates) | extra)
     return _verify(gens, ring, len(lin), candidates, limit, first_only=False)
 
 
@@ -250,7 +222,7 @@ def certify_optimal(result, gens):
     return True
 
 
-def certify_affine_cell(result, gens, max_terms=200000):
+def certify_affine_cell(result, gens):
     """True iff the separating substitution kills every generator.
 
     Substitutes the coherent tuple into all generators; an empty image
@@ -261,8 +233,8 @@ def certify_affine_cell(result, gens, max_terms=200000):
     tup = result.sep_tuple
     try:
         if not tup.is_coherent():
-            tup = coherent_interreduce(tup, max_terms=max_terms)
-        images = eliminate_by_substitution(gens, tup, max_terms=max_terms)
+            tup = coherent_interreduce(tup)
+        images = eliminate_by_substitution(gens, tup)
     except RuntimeError:
         return None
     if images:

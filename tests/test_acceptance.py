@@ -162,7 +162,7 @@ def test_criterion_5_border_basis_scheme_full_run():
                                   + sum(len(e) for e in classes.proper)
                                   - len(classes.proper))
 
-    report = find_reembedding_via_cotangent(gens, optimal_only=True)
+    report = find_reembedding_via_cotangent(gens)
     assert report.status == "all"
     assert len(report.results) == 12
     for res in report.results:

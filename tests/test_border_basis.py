@@ -1,7 +1,7 @@
 """Border basis scheme: order ideals, relations, structure checks."""
 
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given
@@ -23,6 +23,7 @@ from reembed.linalg import rref
 from reembed.parse import parse_poly, parse_term
 from reembed.poly import Poly, linear_part_of_ideal
 from reembed.ring import tvar
+from reembed.search import find_reembedding_via_cotangent
 
 
 @pytest.fixture(scope="module")
@@ -423,3 +424,54 @@ class TestVerifyStructureCatchesCorruption:
             scheme, lambda g: any(len(k) == 1 and scheme.cpair(k[0])[1] + 1
                                   < scheme.nu for k in g.form), shift)
         assert not report.checks["arrow_homogeneous"]
+
+
+def _planar_order_ideals(max_exp=4):
+    """Every two-variable order ideal with exponents at most max_exp: one
+    per non-increasing row-length sequence in a (max_exp + 1)-square box."""
+    out = []
+    for rows in combinations_with_replacement(range(max_exp + 2),
+                                              max_exp + 1):
+        lengths = sorted(rows, reverse=True)
+        if lengths[0]:
+            out.append(OrderIdeal(2, tuple(
+                (a, b) for b, n in enumerate(lengths) for a in range(n))))
+    return out
+
+
+class TestPlanarSchemeDimension:
+    """Exact claims from a theorem, independent of the search's answers.
+
+    In two indeterminates the border basis scheme of a mu-term order ideal
+    is an open part of the Hilbert scheme of mu points in the plane, which
+    is smooth and irreducible of dimension 2 mu (J. Fogarty, "Algebraic
+    families on an algebraic surface", Amer. J. Math. 90, 1968).  So the
+    indeterminates left free by the linear part number 2 mu, and a
+    separating re-embedding of optimal size leaves K[Y] of dimension
+    2 mu = |Y|, so its image ideal is zero: every result is an affine cell.
+    """
+
+    IDEALS = _planar_order_ideals()
+
+    def test_tangent_dimension_is_two_mu(self):
+        # lattice paths in a 5 x 5 box, less the empty one
+        assert len({O.terms for O in self.IDEALS}) == 251
+        # a fixed stratum (at most 10 terms, 86 ideals) keeps this fast
+        stratum = [O for O in self.IDEALS if len(O) <= 10]
+        assert len(stratum) == 86
+        for O in stratum:
+            classes = BorderBasisScheme(O).cotangent()
+            assert len(classes.basic) + len(classes.proper) == 2 * len(O), \
+                O.terms
+
+    def test_every_result_is_an_affine_cell_of_dimension_two_mu(self):
+        small = [O for O in self.IDEALS if 3 <= len(O) <= 4]
+        assert len(small) == 8
+        for O in small:
+            scheme = BorderBasisScheme(O)
+            report = find_reembedding_via_cotangent(scheme.defining_ideal())
+            assert report.status == "all" and report.results, O.terms
+            for res in report.results:
+                assert res.optimal, (O.terms, res.z_labels())
+                assert len(res.Y) == 2 * scheme.mu, (O.terms, res.z_labels())
+                assert res.affine_cell, (O.terms, res.z_labels())

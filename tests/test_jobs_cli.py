@@ -1,15 +1,19 @@
 """Job parsing, report generation, golden files, exit codes."""
 
+import argparse
+import dataclasses
 import json
 import pathlib
 import random
 import shlex
 import time
+from itertools import combinations
 
 import pytest
 
 from reembed import search
-from reembed.cli import main
+from reembed.cli import build_parser, main
+from reembed.groebner import check_Z_separating
 from reembed.jobs import JobSpec, parse_job, parse_ordering_spec, run_job
 from reembed.ordering import degrevlex, elimination_for, lex
 from reembed.parse import ParseError, parse_poly, parse_ring
@@ -150,6 +154,8 @@ class TestRunJob:
         ["gb"],
         ["no-such-command", str(JOBS / "gb_ten_generators.job")],
         ["reembed", "--alg", "nope", str(JOBS / "reembed_twisted_curve.job")],
+        ["reembed", "--subsets", str(JOBS / "reembed_twisted_curve.job")],
+        ["bbs", "--subsets", str(JOBS / "bbs_staircase.job")],
     ])
     def test_usage_error_exits_1(self, argv, capsys):
         # 2 means "inconclusive"; a usage error is an error
@@ -187,6 +193,69 @@ class TestRunJob:
         assert code == 0
         assert data["bases"] == [[]]
         assert data["gbs"] == [[]]
+
+
+def test_every_flag_stores_into_a_job_field():
+    # the CLI copies each parsed arg onto the JobSpec field of the same name,
+    # so a flag whose dest names no field would be silently dropped
+    fields = {f.name for f in dataclasses.fields(JobSpec)}
+    top = build_parser()
+    (subparsers,) = [a for a in top._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.dest in ("help", "jobfile"):
+                continue
+            assert action.dest in fields, (command, action.option_strings)
+
+
+# two proper cotangent classes {a, b} and {c, d}; the fan's marker sets are
+# ac, ad, bc, bd and the cotangent closed form lists them bd, bc, ad, ac
+FOUR_TEXT = "ring a, b, c, d;\na - b + c^2\nc - d + a*b\n"
+
+
+class TestReembedFlags:
+    """Each reembed flag either acts or is refused."""
+
+    @pytest.fixture
+    def job(self, tmp_path):
+        path = tmp_path / "four.job"
+        path.write_text(FOUR_TEXT)
+        return str(path)
+
+    @staticmethod
+    def _run(capsys, *argv):
+        code = main(["reembed", "--json", *argv])
+        return code, json.loads(capsys.readouterr().out)
+
+    def test_gfan_all_lists_every_tuple_in_fan_order(self, job, capsys):
+        code, data = self._run(capsys, "--alg", "gfan", "--all", job)
+        assert code == 0
+        assert data["algorithm"] == "gfan"
+        assert data["status"] == "all"
+        assert [t["Z"] for t in data["tried"]] == [
+            ["a", "c"], ["a", "d"], ["b", "c"], ["b", "d"]]
+        assert [r["Z"] for r in data["results"]] == [["a", "d"], ["b", "d"]]
+
+    def test_cotangent_refuses_a_size(self, job, capsys):
+        assert main(["reembed", "--alg", "cotangent", "--size", "1",
+                     job]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--size" in captured.err
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_size_all_lists_every_separating_subset(self, job, capsys, s):
+        code, data = self._run(capsys, "--size", str(s), "--all", job)
+        assert code == 0
+        ring = parse_ring("ring a, b, c, d;")
+        gens = [parse_poly(line, ring) for line in FOUR_TEXT.split("\n")[1:3]]
+        subsets = {sub for markers in ("ac", "ad", "bc", "bd")
+                   for sub in combinations(markers, s)}
+        want = sorted(sub for sub in subsets
+                      if check_Z_separating(gens, ring.indices(sub)).yes)
+        assert want
+        assert [tuple(r["Z"]) for r in data["results"]] == want
 
 
 class TestErrorPositions:
