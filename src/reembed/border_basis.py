@@ -25,7 +25,7 @@ from itertools import product
 from .cotangent import cotangent_classes
 from .field import QQ
 from .ordering import degrevlex
-from .poly import Poly
+from .poly import Poly, join_terms
 from .ring import Ring, tmul, tvar
 
 
@@ -158,22 +158,8 @@ def form_string(form, labels):
     Descending degrevlex on sorted index tuples is ascending order by
     (-degree, reversed indices).
     """
-    if not form:
-        return "0"
-    parts = []
-    for key in sorted(form, key=lambda key: (-len(key), key[::-1])):
-        cs = str(form[key])
-        neg = cs.startswith("-")
-        if neg:
-            cs = cs[1:]
-        body = _key_string(key, labels)
-        if cs != "1":
-            body = cs + body
-        if not parts:
-            parts.append(f"-{body}" if neg else body)
-        else:
-            parts.append(f"- {body}" if neg else f"+ {body}")
-    return " ".join(parts)
+    order = sorted(form, key=lambda key: (-len(key), key[::-1]))
+    return join_terms((form[key], _key_string(key, labels)) for key in order)
 
 
 @dataclass

@@ -1,14 +1,12 @@
 """Command-line entry point: ``reembed <subcommand> [flags] <jobfile>``.
 
 Exit codes: 0 on success, 2 when a budget abort left a check inconclusive,
-1 on any error, a command-line usage error included.  The step budget falls
-back to the REEMBED_BUDGET environment variable.
+1 on any error, a command-line usage error included.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import fields
 
@@ -18,16 +16,6 @@ from .parse import ParseError
 
 # every flag stores into the JobSpec field of its dest name
 SPEC_FIELDS = {f.name for f in fields(JobSpec)}
-
-
-def _env_int(name, default):
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise SystemExit(f"error: {name} must be an integer, got {raw!r}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,9 +39,8 @@ def build_parser():
         p.add_argument("jobfile", help="job file (ring + content lines)")
         p.add_argument("--json", action="store_true", dest="json_out",
                        help="emit a JSON report")
-        p.add_argument("--budget", type=int, default=None,
-                       help="pair-reduction step budget "
-                            "(default REEMBED_BUDGET or 10^6)")
+        p.add_argument("--budget", type=int, default=DEFAULT_STEP_LIMIT,
+                       help="pair-reduction step budget (default 10^6)")
 
     p = sub.add_parser("gb", help="reduced basis under a chosen ordering")
     p.add_argument("--ordering", default="degrevlex", dest="ordering_spec",
@@ -69,7 +56,7 @@ def build_parser():
     p = sub.add_parser("cotangent",
                        help="cotangent classes of the linear part")
     p.add_argument("--fan", action="store_true", dest="show_fan",
-                   help="also list every leading-term set (binomial parts)")
+                   help="also list every leading-term set")
     common(p)
 
     p = sub.add_parser("reembed", help="search for separating re-embeddings")
@@ -104,8 +91,6 @@ def main(argv=None):
         for name, value in vars(args).items():
             if name in SPEC_FIELDS:
                 setattr(spec, name, value)
-        if args.budget is None:
-            spec.budget = _env_int("REEMBED_BUDGET", DEFAULT_STEP_LIMIT)
         report = run_job(spec)
     except ParseError as e:
         print(f"error: {args.jobfile}:{e}", file=sys.stderr)

@@ -46,6 +46,8 @@ class CotangentClasses:
         return sorted(self.ring.labels[i] for i in indices)
 
     def fan_size(self):
+        """The leading-term fan's size in closed form; for binomial linear
+        parts only."""
         size = 1
         for e in self.proper:
             size *= len(e)
@@ -97,8 +99,10 @@ def cotangent_classes(lin_basis, ring=None):
 def support_union(lin_basis, ring=None):
     """Union of the supports of a minimal generating set of the span.
 
-    Independent of which minimal generating set is chosen; the complement
-    is exactly the set of basic indeterminates.
+    Independent of which minimal generating set is chosen.  For a binomial
+    part the complement is exactly the set of basic indeterminates; for
+    others it need not be: on a + b + c the support and the basic set are
+    both {a, b, c}.
     """
     ring, rows = linear_rows(list(lin_basis), ring)
     return frozenset(c for row in linalg.rref(rows, ring.field)[0]

@@ -223,6 +223,9 @@ def buchberger(gens, ordering, limit=DEFAULT_STEP_LIMIT):
     for g in gens:
         if g.ring != ring:
             raise ValueError("generators from different rings")
+    if ordering.n != ring.n:
+        raise ValueError(f"the ordering has {ordering.n} columns, the ring "
+                         f"{ring.n} indeterminates")
     key = _memo_key(ordering)
 
     G = []

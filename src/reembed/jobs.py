@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 from .border_basis import BorderBasisScheme, form_string, order_ideal
 from .cotangent import cotangent_classes, enumerate_ltgfan_binomial
 from .groebner import DEFAULT_STEP_LIMIT, buchberger
-from .linear_gfan import gfan_linear
+from .linear_gfan import gfan_linear, ltgfan_linear
 from .ordering import TermOrdering, degrevlex, elimination_for, lex
-from .parse import ParseError, _parse_ring_decl, _TokenStream, parse_poly, parse_term
+from .parse import ParseError, parse_poly, parse_ring, parse_term
 from .poly import linear_part_of_ideal
 from .search import (
     certify_affine_cell,
@@ -87,7 +87,7 @@ def parse_job(text, command=None):
                 raise ParseError("expected a ring declaration", lineno,
                                  indent + 1)
             try:
-                ring, _ = _parse_ring_decl(_TokenStream(line))
+                ring = parse_ring(line)
             except ParseError as e:
                 raise ParseError(str(e).split(": ", 1)[1], lineno,
                                  e.col + indent) from None
@@ -180,7 +180,7 @@ def _run_gb(spec):
         "steps": gb.steps,
     })
     lines = [f"reduced basis ({gb.status}, {gb.steps} steps):"]
-    lines += [f"  {g.to_string(o)}" for g in gb.basis]
+    lines += [f"  {g}" for g in data["basis"]]
     return Report(data, 0 if gb.complete else 2, "\n".join(lines) + "\n")
 
 
@@ -217,10 +217,15 @@ def _run_cotangent(spec):
     classes = cotangent_classes(lin, spec.ring)
     data["status"] = "ok"
     data.update(_classes_data(classes))
-    binomial = all(len(f) <= 2 for f in lin)
-    if spec.show_fan and binomial:
-        data["ltgfan"] = [classes.labels(s)
-                          for s in enumerate_ltgfan_binomial(classes)]
+    # the closed form holds for binomial parts only; any other part's fan
+    # is walked, as find_reembedding_via_cotangent's fallback does
+    if all(len(f) <= 2 for f in lin):
+        fan = enumerate_ltgfan_binomial(classes) if spec.show_fan else None
+    else:
+        fan = ltgfan_linear(lin)
+        data["ltgfan_size"] = len(fan)
+    if spec.show_fan:
+        data["ltgfan"] = [classes.labels(s) for s in fan]
     lines = [
         "trivial class: " + ", ".join(data["trivial"]),
         "basic: " + ", ".join(data["basic"]),
@@ -250,7 +255,8 @@ def _result_data(res):
 
 
 def _search(spec):
-    """Run the job's candidate search; certify each result's affine cell."""
+    """Run the job's candidate search; cross-check each result's affine
+    cell by substitution."""
     gens = spec.polys
     if spec.alg == "cotangent":
         if spec.size is not None:
@@ -261,9 +267,7 @@ def _search(spec):
             gens, s=spec.size, limit=spec.budget,
             first_only=not spec.all_results)
     for res in report.results:
-        cell = certify_affine_cell(res, gens)
-        if cell is not None:
-            res.affine_cell = cell
+        certify_affine_cell(res, gens)
     return report
 
 
@@ -282,12 +286,12 @@ def _run_reembed(spec):
         data["unverified"] = [[labels[i] for i in Z]
                               for Z in report.unverified]
     lines = [f"search status: {report.status}"]
-    for r in report.results:
-        lines.append("Z = (" + ", ".join(r.z_labels()) + ")")
-        lines.append("Y = (" + ", ".join(r.y_labels()) + ")")
-        for z, h in sorted(r.substitution.items()):
-            lines.append(f"  {labels[z]} -> {h}")
-        lines.append(f"  optimal: {r.optimal}, affine cell: {r.affine_cell}")
+    for r in data["results"]:
+        lines.append("Z = (" + ", ".join(r["Z"]) + ")")
+        lines.append("Y = (" + ", ".join(r["Y"]) + ")")
+        lines += [f"  {z} -> {h}" for z, h in r["substitution"].items()]
+        lines.append(f"  optimal: {r['optimal']}, "
+                     f"affine cell: {r['affine_cell']}")
     exit_code = 2 if report.status == "inconclusive" else 0
     return Report(data, exit_code, "\n".join(lines) + "\n")
 

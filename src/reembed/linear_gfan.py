@@ -14,7 +14,7 @@ from __future__ import annotations
 import warnings
 
 from . import linalg
-from .poly import Poly, linear_rows
+from .poly import Poly, join_terms, linear_row, linear_rows
 from .ring import tvar
 
 
@@ -86,20 +86,16 @@ class MarkedReducedGB:
 
     def pair_strings(self):
         """Render each pair with its marker leading, mirroring the usual
-        marked-basis notation.  The marker's coefficient is 1, so its label
-        is followed by the rest of the form in degrevlex order, the default
-        of Poly.to_string."""
+        marked-basis notation: the marker's term, then the other terms in
+        index order, which on linear terms is the descending degrevlex
+        order of Poly.to_string."""
+        labels = self.ring.labels
         out = []
         for m, f in self.pairs:
-            label = self.ring.labels[m]
-            rest = (f - Poly.variable(self.ring, m)).to_string()
-            if rest == "0":
-                text = label
-            elif rest.startswith("-"):
-                text = f"{label} - {rest[1:]}"
-            else:
-                text = f"{label} + {rest}"
-            out.append((label, text))
+            row = linear_row(f)
+            terms = [(row.pop(m), labels[m])]
+            terms += [(c, labels[j]) for j, c in sorted(row.items())]
+            out.append((labels[m], join_terms(terms)))
         return out
 
     def __eq__(self, other):

@@ -247,33 +247,42 @@ class Poly:
     # ---------- printing ----------
 
     def to_string(self, ordering=None):
-        if not self.coeffs:
-            return "0"
         key = ordering.key if ordering else degrevlex_key
-        parts = []
-        for t in sorted(self.coeffs, key=key, reverse=True):
-            c = self.coeffs[t]
-            cs = str(c)
-            neg = cs.startswith("-")
-            if neg:
-                cs = cs[1:]
-            if tdeg(t) == 0:
-                body = cs
-            elif cs == "1":
-                body = term_str(t, self.ring)
-            else:
-                body = f"{cs}{term_str(t, self.ring)}"
-            if not parts:
-                parts.append(f"-{body}" if neg else body)
-            else:
-                parts.append(f"- {body}" if neg else f"+ {body}")
-        return " ".join(parts)
+        coeffs, ring = self.coeffs, self.ring
+        return join_terms((coeffs[t], term_str(t, ring) if tdeg(t) else "")
+                          for t in sorted(coeffs, key=key, reverse=True))
 
     def __str__(self):
         return self.to_string()
 
     def __repr__(self):
         return f"Poly({self.to_string()})"
+
+
+def join_terms(terms):
+    """A sum as text, from (coefficient, monomial text) pairs in print order.
+
+    ``""`` stands for the monomial 1; the empty sum is ``"0"``.  Every
+    polynomial the program prints gets its signs and coefficients here:
+    ``-2x*y + z - 1/2``.
+    """
+    parts = []
+    for c, mono in terms:
+        cs = str(c)
+        neg = cs.startswith("-")
+        if neg:
+            cs = cs[1:]
+        if not mono:
+            body = cs
+        elif cs == "1":
+            body = mono
+        else:
+            body = cs + mono
+        if parts:
+            parts.append(f"- {body}" if neg else f"+ {body}")
+        else:
+            parts.append(f"-{body}" if neg else body)
+    return " ".join(parts) if parts else "0"
 
 
 def linear_row(form):

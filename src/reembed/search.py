@@ -21,7 +21,7 @@ from .groebner import (
     GBResult,
     SeparatingTuple,
     check_Z_separating,
-    coherent_interreduce,
+    coherent_interreduce,  # not called here: perfbench/spans.py binds it here
     eliminate_by_substitution,
 )
 from .poly import linear_part_of_ideal
@@ -225,23 +225,17 @@ def certify_optimal(result, gens):
 def certify_affine_cell(result, gens):
     """True iff the separating substitution kills every generator.
 
-    Substitutes the coherent tuple into all generators; an empty image
-    ideal means the quotient is a polynomial ring in the remaining
-    indeterminates.  Returns None when a budget trips.
+    Substitutes the result's tuple, coherent as its check asserted, into
+    all generators; an empty image ideal means the quotient is a polynomial
+    ring in the remaining indeterminates.  Asserts that this agrees with
+    the certificate, whose elimination generators span the same ideal.
+    Returns None when a budget trips.
     """
     gens = [g for g in gens if not g.is_zero()]
-    tup = result.sep_tuple
     try:
-        if not tup.is_coherent():
-            tup = coherent_interreduce(tup)
-        images = eliminate_by_substitution(gens, tup)
+        images = eliminate_by_substitution(gens, result.sep_tuple)
     except RuntimeError:
         return None
-    if images:
-        return False
-    # cross-check on the certificate: a complete elimination basis may not
-    # carry any generator outside the separated block
-    assert not result.elimination_gens, \
-        "substitution killed the generators but the basis disagrees"
-    return True
-
+    assert (not images) == (not result.elimination_gens), \
+        "substitution and elimination basis disagree on the affine cell"
+    return not images

@@ -29,6 +29,7 @@ from reembed.ordering import (
     degrevlex,
     elimination_degree_block,
     elimination_for,
+    TermOrdering,
     lex,
 )
 from reembed.parse import parse_poly, parse_ring
@@ -88,6 +89,17 @@ class TestBuchberger:
     def test_zero_ideal(self, ring_xyz):
         gb = buchberger([Poly.zero(ring_xyz)], degrevlex(3))
         assert gb.complete and gb.basis == []
+
+    def test_ordering_must_match_the_ring(self, ring_xyz):
+        # a two-column matrix would ignore z and merge x*z with x
+        gens = polys(ring_xyz, ["x*z - x", "x*z + x"])
+        for rows in ([[1, 0], [0, 1]], [[1, 0, 0, 0], [0, 1, 0, 0],
+                                        [0, 0, 1, 0], [0, 0, 0, 1]]):
+            with pytest.raises(ValueError, match="ordering has"):
+                buchberger(gens, TermOrdering(rows))
+        gb = buchberger(gens, TermOrdering([[1, 0, 0], [0, 1, 0],
+                                            [0, 0, 1]]))
+        assert gb.basis == polys(ring_xyz, ["x"])
 
     def test_over_prime_field(self):
         ring = parse_ring("ring x, y mod 7;")

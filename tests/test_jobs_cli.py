@@ -13,10 +13,13 @@ import pytest
 
 from reembed import search
 from reembed.cli import build_parser, main
-from reembed.groebner import check_Z_separating
+from reembed.groebner import SeparatingTuple, check_Z_separating
 from reembed.jobs import JobSpec, parse_job, parse_ordering_spec, run_job
+from reembed.linear_gfan import ltgfan_linear
 from reembed.ordering import degrevlex, elimination_for, lex
 from reembed.parse import ParseError, parse_poly, parse_ring
+from reembed.poly import Poly, linear_part_of_ideal
+from reembed.ring import Ring, tvar
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 JOBS = ROOT / "jobs"
@@ -125,6 +128,63 @@ class TestGolden:
             assert data["schema"] == 1
 
 
+class TestRenderOnce:
+    """Each printed polynomial is rendered once per report."""
+
+    def test_gfan_pairs_build_no_difference(self, monkeypatch):
+        spec = parse_job((JOBS / "fan_two_forms.job").read_text())
+        calls = []
+        original = Poly.__sub__
+
+        def counting(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(Poly, "__sub__", counting)
+        report = run_job(spec)
+        assert report.data["gbs"]
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n in RUNS if RUNS[n][1] in ("gb", "reembed")))
+    def test_each_polynomial_once(self, name, capsys, monkeypatch):
+        calls = []
+        original = Poly.to_string
+
+        def counting(self, ordering=None):
+            calls.append(1)
+            return original(self, ordering)
+
+        monkeypatch.setattr(Poly, "to_string", counting)
+        assert main(TestGolden._argv(name)) == 0
+        data = json.loads(capsys.readouterr().out)
+        printed = len(data.get("basis", ()))
+        for r in data.get("results", ()):
+            printed += len(r["substitution"]) + len(r["elimination_gens"]) \
+                + len(r["certificate"])
+        assert printed
+        assert len(calls) == printed
+
+    @pytest.mark.parametrize(
+        "name", sorted(n for n in RUNS if RUNS[n][1] in ("reembed", "bbs")))
+    def test_coherence_checked_twice_per_tuple(self, name, capsys,
+                                               monkeypatch):
+        # once where the check builds the tuple, once before substituting
+        calls = []
+        original = SeparatingTuple.is_coherent
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(SeparatingTuple, "is_coherent", counting)
+        assert main(TestGolden._argv(name)) == 0
+        data = json.loads(capsys.readouterr().out)
+        tuples = len(data.get("results") or data["reembed"]["results"])
+        assert tuples
+        assert len(calls) == 2 * tuples
+
+
 class TestRunJob:
     def test_gb_inconclusive_exit_code(self, capsys):
         code = main(["gb", "--budget", "0",
@@ -141,13 +201,16 @@ class TestRunJob:
         assert main(["gb", str(bad)]) == 1
         assert "unknown indeterminate" in capsys.readouterr().err
 
-    def test_env_budget(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REEMBED_BUDGET", "0")
-        code = main(["gb", str(JOBS / "gb_ten_generators.job")])
-        assert code == 2
-        monkeypatch.setenv("REEMBED_BUDGET", "junk")
-        with pytest.raises(SystemExit):
-            main(["gb", str(JOBS / "gb_ten_generators.job")])
+    @pytest.mark.parametrize("matrix", [
+        "[[1,0],[0,1]]", "[[1,0,0,0],[0,1,0,0],[0,0,1,0],[0,0,0,1]]"])
+    def test_ordering_must_match_the_ring(self, tmp_path, capsys, matrix):
+        # a two-column matrix used to ignore z, and the basis read x*z, x
+        job = tmp_path / "xz.job"
+        job.write_text("ring x, y, z;\nx*z - x\nx*z + x\n")
+        assert main(["gb", "--ordering", matrix, str(job)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "ordering has" in captured.err
 
     @pytest.mark.parametrize("argv", [
         ["gb", "--no-such-flag", str(JOBS / "gb_ten_generators.job")],
@@ -179,6 +242,37 @@ class TestRunJob:
         assert data["trivial"] == ["x", "y"]
         assert data["proper"] == [["w", "z"]]
         assert data["ltgfan_size"] == 2
+
+    def test_cotangent_fan_of_a_non_binomial_part(self, tmp_path, capsys):
+        # every indeterminate is basic, and the fan still has three cells
+        job = tmp_path / "sum.job"
+        job.write_text("ring a, b, c;\na + b + c\n")
+        assert main(["cotangent", "--json", "--fan", str(job)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["basic"] == ["a", "b", "c"]
+        assert data["ltgfan_size"] == 3
+        assert data["ltgfan"] == [["a"], ["b"], ["c"]]
+
+    def test_cotangent_fan_is_the_fan_walk_off_binomial(self):
+        rng = random.Random(18)
+        checked = 0
+        while checked < 30:
+            n = rng.randint(3, 7)
+            ring = Ring([f"v{i}" for i in range(n)])
+            forms = [Poly(ring, {tvar(n, j): rng.choice([-2, -1, 1, 3])
+                                 for j in rng.sample(range(n),
+                                                     rng.randint(1, n))})
+                     for _ in range(rng.randint(1, n - 1))]
+            lin = linear_part_of_ideal(forms)
+            if all(len(f) <= 2 for f in lin):
+                continue
+            checked += 1
+            data = run_job(JobSpec(command="cotangent", ring=ring,
+                                   polys=forms, show_fan=True)).data
+            fan = ltgfan_linear(lin)
+            assert data["ltgfan_size"] == len(fan)
+            assert data["ltgfan"] == [sorted(ring.labels[i] for i in s)
+                                      for s in fan]
 
     def test_text_mode_mirrors_notation(self, capsys):
         main(["gfan-linear", str(JOBS / "fan_two_forms.job")])
@@ -281,9 +375,14 @@ class TestErrorPositions:
          "job needs at least one polynomial"),
         ("bbs", "# note\nring x, y;\n", "2:1",
          "order-ideal job needs at least one term"),
+        # nothing may follow the ring declaration on its line
+        ("gb", "ring x, y; x + y\n", "1:12", "unexpected trailing input 'x'"),
+        ("gb", "ring x, y; garbage ) (\nx + y\n", "1:12",
+         "unexpected trailing input 'garbage'"),
     ], ids=("nonlinear-form", "unknown-directive", "composite-modulus",
             "indented-form", "indented-ring", "indented-nonlinear-form",
-            "bbs-term", "bbs-coefficient", "no-polynomial", "no-term"))
+            "bbs-term", "bbs-coefficient", "no-polynomial", "no-term",
+            "ring-then-polynomial", "ring-then-garbage"))
     def test_error_names_its_line(self, tmp_path, capsys, command, text,
                                   where, message):
         bad = tmp_path / "bad.job"

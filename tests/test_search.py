@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -71,6 +72,20 @@ class TestViaGfan:
         assert not res.affine_cell
         assert certify_affine_cell(res, gens) is False
         assert res.elimination_gens == [parse_poly("y^4 + y^2", ring_xyz)]
+
+    def test_affine_cell_certificate_must_agree(self, ring_xyz,
+                                                twisted_curve):
+        # the substitution and the elimination basis decide the same flag;
+        # a certificate that disagrees either way trips the cross-check
+        gens = [parse_poly("x - y^2", ring_xyz),
+                parse_poly("y^4 + y^2", ring_xyz)]
+        res = find_reembedding_via_gfan(gens, s=1).result
+        with pytest.raises(AssertionError):
+            certify_affine_cell(replace(res, elimination_gens=[]), gens)
+        res = find_reembedding_via_gfan(twisted_curve, s=3).result
+        res.elimination_gens = [twisted_curve[0]]
+        with pytest.raises(AssertionError):
+            certify_affine_cell(res, twisted_curve)
 
     def test_inconclusive_on_budget(self, curve10):
         report = find_reembedding_via_gfan(curve10, s=1, limit=0)
