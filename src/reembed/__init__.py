@@ -4,14 +4,16 @@ Submodules:
   field         exact coefficient fields (QQ, F_p)
   ring, poly    sparse polynomials over named indeterminates
   ordering      weight-matrix term orderings
-  parse         text grammar for rings and polynomials
+  parse         text grammar for rings and polynomials, with bounded
+                expansion work
   linalg        exact linear algebra (sparse RREF, Bareiss rank)
   linear_gfan   Groebner fans of linear ideals by a walk of tableau pivots
   cotangent     cotangent equivalence classes and closed-form fans
   groebner      Buchberger engine, separating-tuple checks, elimination
   search        the two searches; certify_* cross-check their flags
   border_basis  border basis scheme construction and structural checks
-  jobs, cli     job files, reports, and the command line
+  jobs, cli     job files, reports, and the command line (exit codes,
+                one-line warnings)
 """
 
 __version__ = "0.1.0"
@@ -22,7 +24,6 @@ from .cotangent import (
     cotangent_classes,
     enumerate_ltgfan_binomial,
     sigma_leading_S,
-    support_union,
 )
 from .field import QQ, PrimeField
 from .groebner import (
@@ -38,7 +39,6 @@ from .groebner import (
 from .linear_gfan import (
     CoeffMatrix,
     MarkedReducedGB,
-    column_submatrix_rank_ok,
     gfan_linear,
     ltgfan_linear,
     matroid_bases,
@@ -76,7 +76,6 @@ __all__ = [
     "check_Z_separating",
     "check_regular_sequence",
     "coherent_interreduce",
-    "column_submatrix_rank_ok",
     "cotangent_classes",
     "certify_affine_cell",
     "certify_optimal",
@@ -99,6 +98,5 @@ __all__ = [
     "parse_term",
     "reduced_gb_for_basis",
     "sigma_leading_S",
-    "support_union",
     "__version__",
 ]

@@ -56,9 +56,6 @@ class OrderIdeal:
     def __len__(self):
         return len(self.terms)
 
-    def position(self, term):
-        return self.terms.index(term)
-
 
 def order_ideal(generators, nvars):
     """Divisor closure of the given terms."""
@@ -199,9 +196,6 @@ class BorderBasisScheme:
     def cvar_index(self, i, j):
         return i * self.nu + j
 
-    def cvar(self, i, j):
-        return Poly.variable(self.cring, self.cvar_index(i, j))
-
     def clabel(self, i, j):
         return self.cring.labels[self.cvar_index(i, j)]
 
@@ -213,15 +207,6 @@ class BorderBasisScheme:
         b = self.border_terms[j]
         t = self.O.terms[i]
         return tuple(be - te for be, te in zip(b, t))
-
-    def arrow_degree_of_term(self, exponents):
-        total = (0,) * self.nvars
-        for idx, e in enumerate(exponents):
-            if e:
-                i, j = self.cpair(idx)
-                d = self.arrow_degree(i, j)
-                total = tuple(a + e * b for a, b in zip(total, d))
-        return total
 
     def rim_cvar_indices(self):
         rim = set(self.rim_positions)
@@ -241,23 +226,6 @@ class BorderBasisScheme:
             else:
                 cols.append(("border", self._bpos[u]))
         return cols
-
-    def multiplication_matrix(self, k):
-        """A_k as a dense mu x mu matrix of polynomials in K[C]."""
-        zero = Poly.zero(self.cring)
-        one = Poly.constant(self.cring, 1)
-        mat = [[zero for _ in range(self.mu)] for _ in range(self.mu)]
-        for m, (kind, pos) in enumerate(self._matcols[k]):
-            if kind == "unit":
-                mat[pos][m] = one
-            else:
-                for i in range(self.mu):
-                    mat[i][m] = self.cvar(i, pos)
-        return mat
-
-    def multiplication_matrices(self):
-        """The generic multiplication matrices A_1 .. A_n."""
-        return [self.multiplication_matrix(k) for k in range(self.nvars)]
 
     def _matvec(self, k, jcol):
         """A_k applied to the jcol-th column of (c_ij), as index forms."""
@@ -363,24 +331,6 @@ class BorderBasisScheme:
 
     def dimension(self):
         return self.mu * self.nvars
-
-    # ---------- cross-check backend ----------
-
-    def commutator_entries(self):
-        """Nonzero entries of all commutators A_a A_b - A_b A_a."""
-        out = []
-        mats = [self.multiplication_matrix(k) for k in range(self.nvars)]
-        for a in range(self.nvars):
-            for b in range(a + 1, self.nvars):
-                A, B = mats[a], mats[b]
-                for r in range(self.mu):
-                    for c in range(self.mu):
-                        acc = Poly.zero(self.cring)
-                        for m in range(self.mu):
-                            acc = acc + A[r][m] * B[m][c] - B[r][m] * A[m][c]
-                        if not acc.is_zero():
-                            out.append(acc)
-        return out
 
     # ---------- cotangent view ----------
 

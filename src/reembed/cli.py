@@ -1,13 +1,15 @@
 """Command-line entry point: ``reembed <subcommand> [flags] <jobfile>``.
 
 Exit codes: 0 on success, 2 when a budget abort left a check inconclusive,
-1 on any error, a command-line usage error included.
+1 on any error, a command-line usage error included.  A warning the library
+raises prints as one ``reembed: warning: <message>`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import fields
 
 from .groebner import DEFAULT_STEP_LIMIT
@@ -27,6 +29,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def nonnegative_int(text):
+    """An integer of at least 0; argparse reports anything else as an
+    invalid value of this type."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
 def build_parser():
     top = _Parser(
         prog="reembed",
@@ -39,8 +50,10 @@ def build_parser():
         p.add_argument("jobfile", help="job file (ring + content lines)")
         p.add_argument("--json", action="store_true", dest="json_out",
                        help="emit a JSON report")
-        p.add_argument("--budget", type=int, default=DEFAULT_STEP_LIMIT,
-                       help="pair-reduction step budget (default 10^6)")
+        p.add_argument("--budget", type=nonnegative_int,
+                       default=DEFAULT_STEP_LIMIT,
+                       help="pair-reduction step budget, at least 0 "
+                            "(default 10^6)")
 
     p = sub.add_parser("gb", help="reduced basis under a chosen ordering")
     p.add_argument("--ordering", default="degrevlex", dest="ordering_spec",
@@ -79,6 +92,16 @@ def build_parser():
 
 
 def main(argv=None):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            return _run(argv)
+        finally:
+            for w in caught:
+                print(f"reembed: warning: {w.message}", file=sys.stderr)
+
+
+def _run(argv):
     args = build_parser().parse_args(argv)
     try:
         with open(args.jobfile, encoding="utf-8") as fh:

@@ -96,19 +96,6 @@ def cotangent_classes(lin_basis, ring=None):
     return CotangentClasses(ring, trivial, basic, proper)
 
 
-def support_union(lin_basis, ring=None):
-    """Union of the supports of a minimal generating set of the span.
-
-    Independent of which minimal generating set is chosen.  For a binomial
-    part the complement is exactly the set of basic indeterminates; for
-    others it need not be: on a + b + c the support and the basic set are
-    both {a, b, c}.
-    """
-    ring, rows = linear_rows(list(lin_basis), ring)
-    return frozenset(c for row in linalg.rref(rows, ring.field)[0]
-                     for c in row)
-
-
 def sigma_smallest(ring, members, ordering):
     """The ordering-smallest indeterminate of a class."""
     return min(members, key=lambda i: ordering.key(tvar(ring.n, i)))

@@ -199,15 +199,6 @@ class GBResult:
     def complete(self):
         return self.status == "complete"
 
-    def leading_terms(self):
-        return self.lts
-
-    def contains(self, f):
-        """Ideal membership; only meaningful for a complete basis."""
-        if not self.complete:
-            raise ValueError("membership test needs a complete basis")
-        return normal_form(f, self.basis, self.ordering).is_zero()
-
 
 def buchberger(gens, ordering, limit=DEFAULT_STEP_LIMIT):
     """Reduced Groebner basis of the ideal generated by gens.
@@ -307,13 +298,6 @@ class SeparatingTuple:
         return True
 
 
-def _validate_separating(gens_ring, markers):
-    markers = tuple(gens_ring.indices(markers))
-    if not markers:
-        raise ValueError("empty marker tuple")
-    return markers
-
-
 @dataclass
 class ZSeparatingCheck:
     status: str  # "yes" | "no" | "inconclusive"
@@ -339,7 +323,9 @@ def check_Z_separating(gens, markers, limit=DEFAULT_STEP_LIMIT,
     if not gens:
         raise ValueError("empty generating set")
     ring = gens[0].ring
-    markers = _validate_separating(ring, markers)
+    markers = ring.indices(markers)
+    if not markers:
+        raise ValueError("empty marker tuple")
     for g in gens:
         if g.constant_coefficient():
             raise ValueError("generators must have zero constant term")
@@ -349,7 +335,7 @@ def check_Z_separating(gens, markers, limit=DEFAULT_STEP_LIMIT,
         return ZSeparatingCheck("inconclusive", gb, None)
     found = {}
     rest = []
-    for g, t in zip(gb.basis, gb.leading_terms()):
+    for g, t in zip(gb.basis, gb.lts):
         if tdeg(t) == 1 and t.index(1) in markers:
             found[t.index(1)] = g
         else:
@@ -472,7 +458,7 @@ def colon_ideal_gens(J_gens, f, limit=DEFAULT_STEP_LIMIT):
     o = degrevlex(ring.n)
     out = []
     for g in gb.basis:
-        if tag in g.variables():
+        if any(t[tag] for t in g.coeffs):
             continue
         out.append(_exact_divide(_drop_tag(g, ring), f, o))
     return out

@@ -30,22 +30,9 @@ class CoeffMatrix:
             if len(row) != ring.n:
                 raise ValueError("row width does not match the ring arity")
 
-    @classmethod
-    def from_forms(cls, forms, ring=None):
-        forms = list(forms)
-        ring, rows = linear_rows(forms, ring)
-        if len(rows) != len(forms):
-            raise ValueError("not a linear form: 0")
-        return cls(ring, [[row.get(c, 0) for c in range(ring.n)]
-                          for row in rows])
-
     @property
     def nrows(self):
         return len(self.rows)
-
-    def form(self, i):
-        return Poly(self.ring, {tvar(self.ring.n, j): c
-                                for j, c in enumerate(self.rows[i]) if c})
 
     def column_submatrix(self, idx):
         return [[row[j] for j in idx] for row in self.rows]
@@ -76,14 +63,6 @@ class MarkedReducedGB:
     def markers(self):
         return tuple(m for m, _ in self.pairs)
 
-    @property
-    def marker_set(self):
-        return frozenset(m for m, _ in self.pairs)
-
-    @property
-    def forms(self):
-        return [f for _, f in self.pairs]
-
     def pair_strings(self):
         """Render each pair with its marker leading, mirroring the usual
         marked-basis notation: the marker's term, then the other terms in
@@ -112,19 +91,6 @@ class MarkedReducedGB:
 
     def __repr__(self):
         return f"MarkedReducedGB({self})"
-
-
-def column_submatrix_rank_ok(A, idx):
-    """True iff the selected columns of A are linearly independent."""
-    idx = tuple(idx)
-    if any(not 0 <= j < A.ring.n for j in idx):
-        raise ValueError("column index out of range")
-    if any(a >= b for a, b in zip(idx, idx[1:])):
-        raise ValueError("column indices must be strictly increasing")
-    if len(idx) > A.nrows:
-        return False
-    sub = A.column_submatrix(idx)
-    return linalg.rank(sub, A.ring.field) == len(idx)
 
 
 def _marked_gb(ring, markers, rows):

@@ -13,8 +13,6 @@ from operator import neg
 
 from .linalg import int_matrix_rank
 
-LT, EQ, GT = -1, 0, 1
-
 
 class TermOrdering:
     """A term ordering given by a full-rank integer weight matrix."""
@@ -52,17 +50,6 @@ class TermOrdering:
     def key(self, term):
         """Sort key; key(s) > key(t) iff s > t."""
         return self._key(term)
-
-    def cmp(self, s, t):
-        """Compare two terms: returns LT, EQ, or GT."""
-        if len(s) != self.n or len(t) != self.n:
-            raise ValueError("term arity does not match the ordering")
-        ks, kt = self._key(s), self._key(t)
-        if ks < kt:
-            return LT
-        if ks > kt:
-            return GT
-        return EQ
 
     def describe(self):
         d = {"kind": self.kind}
@@ -146,30 +133,6 @@ def elimination(zvars, n, labels=None):
 
     return TermOrdering(rows, kind="elimination", params=params, _key=key,
                         validate=False)
-
-
-def elimination_degree_block(zvars, n, labels=None):
-    """Alternative elimination ordering: degree-then-revlex inside each block.
-
-    Used to cross-check results that must not depend on which elimination
-    ordering realizes the block structure.
-    """
-    zt = tuple(zvars)
-    z = sorted(set(zt))
-    if not z or len(z) != len(zt):
-        raise ValueError("invalid elimination block")
-    zset = set(z)
-    y = [i for i in range(n) if i not in zset]
-    rows = [[1 if j in zset else 0 for j in range(n)]]
-    for i in reversed(z[1:]):
-        rows.append([-1 if j == i else 0 for j in range(n)])
-    if y:
-        yset = set(y)
-        rows.append([1 if j in yset else 0 for j in range(n)])
-        for i in reversed(y[1:]):
-            rows.append([-1 if j == i else 0 for j in range(n)])
-    params = {"z": list(z) if labels is None else [labels[i] for i in z]}
-    return TermOrdering(rows, kind="custom", params=params)
 
 
 def elimination_for(ring, zvars):

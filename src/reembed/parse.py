@@ -6,6 +6,11 @@ rational coefficients written a/b, ``^`` for powers and optional ``*``:
 ``x^2*y - 1/2y^3 + 3z`` parses, and juxtaposition such as ``2w`` means
 multiplication.  Identifiers are maximal runs, so ``xy`` is one
 identifier while ``x y`` and ``x*y`` both parse as the product of x and y.
+
+Expanding a product costs one step per pair of terms, and no budget applies
+before the parse ends, so each polynomial may expand PARSE_WORK_LIMIT pairs:
+a product of two operands with 2 or more terms each, each squaring of a
+``^`` included, is charged len(p) * len(q).
 """
 
 from __future__ import annotations
@@ -23,6 +28,10 @@ class ParseError(ValueError):
 
 
 _SYMBOLS = "+-*^(),;/"
+
+# (a+b+c+d+e)^10, 1001 terms, takes 12575 and parses; ^14 does not.  The
+# job files under jobs/ and the benchmark corpora multiply no two sums.
+PARSE_WORK_LIMIT = 10 ** 5
 
 
 def _tokenize(text):
@@ -74,6 +83,7 @@ class _TokenStream:
     def __init__(self, text):
         self.tokens = list(_tokenize(text))
         self.pos = 0
+        self.work = 0    # term pairs expanded so far
         if self.tokens:
             last = self.tokens[-1]
             self._end = (last[2], last[3] + len(str(last[1])))
@@ -173,34 +183,49 @@ def _parse_sum(ts, ring):
 _FACTOR_START = ("int", "name", "(")
 
 
+def _mul(ts, p, q, tok):
+    """p * q, charged to the parse when both have 2 or more terms; an
+    expansion past PARSE_WORK_LIMIT is refused at the token tok."""
+    if len(p) > 1 and len(q) > 1:
+        ts.work += len(p) * len(q)
+        if ts.work > PARSE_WORK_LIMIT:
+            raise ParseError("expansion exceeds the parse limit of "
+                             f"{PARSE_WORK_LIMIT} term pairs", tok[2], tok[3])
+    return p * q
+
+
 def _parse_product(ts, ring):
     p = _parse_power(ts, ring)
     while True:
         tok = ts.peek()
         if tok[0] == "*":
             ts.next()
-            p = p * _parse_power(ts, ring)
-        elif tok[0] in _FACTOR_START:
-            p = p * _parse_power(ts, ring)
-        else:
+        elif tok[0] not in _FACTOR_START:
             return p
+        p = _mul(ts, p, _parse_power(ts, ring), tok)
 
 
 def _parse_power(ts, ring):
     base = _parse_atom(ts, ring)
-    if ts.peek()[0] == "^":
+    if ts.peek()[0] != "^":
+        return base
+    caret = ts.next()
+    neg = ts.peek()[0] == "-"
+    if neg:
         ts.next()
+    e = int(ts.expect("int")[1])
+    if neg:
         tok = ts.peek()
-        neg = False
-        if tok[0] == "-":
-            ts.next()
-            neg = True
-        e = int(ts.expect("int")[1])
-        if neg:
-            tok = ts.peek()
-            raise ParseError("negative exponent", tok[2], tok[3])
-        return base ** e
-    return base
+        raise ParseError("negative exponent", tok[2], tok[3])
+    # repeated squaring, as Poly.__pow__ does, with each product charged
+    result = Poly.constant(ring, 1)
+    while e:
+        if e & 1:
+            result = _mul(ts, result, base, caret)
+        e >>= 1
+        if e:
+            base = _mul(ts, base, base, caret)
+    return result
 
 
 def _parse_atom(ts, ring):

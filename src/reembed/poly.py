@@ -63,22 +63,6 @@ class Poly:
     def constant_coefficient(self):
         return self.coeffs.get(tconst(self.ring.n), self.ring.field.zero())
 
-    def support(self):
-        """Terms in a deterministic (degrevlex descending) order."""
-        return sorted(self.coeffs, key=degrevlex_key, reverse=True)
-
-    def coefficient(self, term):
-        return self.coeffs.get(term, self.ring.field.zero())
-
-    def variables(self):
-        """Indices of indeterminates actually occurring."""
-        seen = set()
-        for t in self.coeffs:
-            for i, e in enumerate(t):
-                if e:
-                    seen.add(i)
-        return seen
-
     # ---------- arithmetic ----------
 
     def _check(self, other):
@@ -184,15 +168,12 @@ class Poly:
 
     # ---------- structure ----------
 
-    def homogeneous_component(self, d):
-        return Poly(self.ring,
-                    {t: c for t, c in self.coeffs.items() if tdeg(t) == d})
-
     def linear_part(self):
         """Degree-1 homogeneous component; defined for constant-term-free input."""
         if self.constant_coefficient():
             raise ValueError("polynomial has a nonzero constant term")
-        return self.homogeneous_component(1)
+        return Poly(self.ring,
+                    {t: c for t, c in self.coeffs.items() if tdeg(t) == 1})
 
     def is_linear_form(self):
         return bool(self.coeffs) and all(tdeg(t) == 1 for t in self.coeffs)

@@ -50,22 +50,6 @@ class Ring:
             raise ValueError("duplicate indeterminates")
         return idx
 
-    def var(self, name):
-        """The indeterminate as a polynomial."""
-        from .poly import Poly
-
-        return Poly.variable(self, self.index(name))
-
-    def zero(self):
-        from .poly import Poly
-
-        return Poly(self, {})
-
-    def one(self):
-        from .poly import Poly
-
-        return Poly.constant(self, 1)
-
     def __eq__(self, other):
         return (
             isinstance(other, Ring)

@@ -99,32 +99,95 @@ class TestRimInterior:
         assert rim_interior(O) == ((0,), ())
 
 
+def cvar(scheme, i, j):
+    """The indeterminate c_ij of the scheme, numbered i * nu + j."""
+    return Poly.variable(scheme.cring, i * scheme.nu + j)
+
+
+def multiplication_matrices(scheme):
+    """The generic multiplication matrices A_1 .. A_n, dense mu x mu over
+    K[C], read off the order ideal and its border: column m of A_k is the
+    unit vector of x_k t_m when that term lies in O, and the column
+    (c_1j .. c_mu j) when it is the border term b_j."""
+    terms, border_terms = scheme.O.terms, scheme.border_terms
+    zero = Poly.zero(scheme.cring)
+    one = Poly.constant(scheme.cring, 1)
+    mats = []
+    for k in range(scheme.nvars):
+        A = [[zero] * scheme.mu for _ in range(scheme.mu)]
+        for m, t in enumerate(terms):
+            u = tuple(e + (v == k) for v, e in enumerate(t))
+            if u in terms:
+                A[terms.index(u)][m] = one
+            else:
+                j = border_terms.index(u)
+                for i in range(scheme.mu):
+                    A[i][m] = cvar(scheme, i, j)
+        mats.append(A)
+    return mats
+
+
+def commutator_entries(scheme):
+    """Nonzero entries of all commutators A_a A_b - A_b A_a: the classical
+    equations of the scheme."""
+    mats = multiplication_matrices(scheme)
+    zero = Poly.zero(scheme.cring)
+    out = []
+    for a in range(scheme.nvars):
+        for b in range(a + 1, scheme.nvars):
+            A, B = mats[a], mats[b]
+            for r in range(scheme.mu):
+                for c in range(scheme.mu):
+                    acc = zero
+                    for m in range(scheme.mu):
+                        acc = acc + A[r][m] * B[m][c] - B[r][m] * A[m][c]
+                    if acc:
+                        out.append(acc)
+    return out
+
+
+def arrow_degree_of_term(scheme, exponents):
+    """The arrow degree of a term of K[C]: the sum over its indeterminates
+    c_ij, with multiplicity, of log(b_j) - log(t_i)."""
+    total = [0] * scheme.nvars
+    for index, e in enumerate(exponents):
+        i, j = divmod(index, scheme.nu)
+        for v, (b, t) in enumerate(zip(scheme.border_terms[j],
+                                       scheme.O.terms[i])):
+            total[v] += e * (b - t)
+    return tuple(total)
+
+
 class TestMultiplicationMatrices:
+    """The dense matrices that the reference generators are built from."""
+
     def test_shapes_and_ring(self, scheme8):
         assert scheme8.mu == 8 and scheme8.nu == 5
         assert scheme8.cring.n == 40
-        for k in range(2):
-            m = scheme8.multiplication_matrix(k)
+        mats = multiplication_matrices(scheme8)
+        assert len(mats) == 2
+        for m in mats:
             assert len(m) == 8 and all(len(row) == 8 for row in m)
 
     def test_unit_columns(self, scheme8):
         # x * y = xy: the column of t_2 = y in A_x is the unit at t_5 = xy
-        m = scheme8.multiplication_matrix(0)
+        m = multiplication_matrices(scheme8)[0]
         col = [m[i][1] for i in range(8)]
         assert col[4] == 1
         assert all(col[i].is_zero() for i in range(8) if i != 4)
 
     def test_border_columns(self, scheme8):
         # x * x^2 = x^3 = b_2: the column of t_6 = x^2 in A_x is c[., b_2]
-        m = scheme8.multiplication_matrix(0)
+        m = multiplication_matrices(scheme8)[0]
         for i in range(8):
-            assert m[i][5] == scheme8.cvar(i, 1)
+            assert m[i][5] == cvar(scheme8, i, 1)
+            assert str(m[i][5]) == scheme8.clabel(i, 1)
 
     def test_one_by_one_case(self):
         O = order_ideal([(0,)], 1)
         s = BorderBasisScheme(O)
-        m = s.multiplication_matrix(0)
-        assert len(m) == 1 and m[0][0] == s.cvar(0, 0)
+        (m,) = multiplication_matrices(s)
+        assert len(m) == 1 and m[0][0] == cvar(s, 0, 0)
 
 
 class TestNeighbourPairs:
@@ -153,7 +216,7 @@ class TestNeighbourPairs:
     def test_commutator_entries_match(self, scheme8):
         # the nonzero commutator entries and the neighbour generators have
         # the same linear span of linear parts and the same count up to sign
-        comm = scheme8.commutator_entries()
+        comm = commutator_entries(scheme8)
         gens = scheme8.defining_ideal()
         assert len(comm) == len(gens)
         lin_a = linear_part_of_ideal(gens)
@@ -179,7 +242,7 @@ class TestArrowGrading:
 
     def test_homogeneity_of_all_generators(self, scheme8):
         for g in scheme8.neighbour_generators():
-            degs = {scheme8.arrow_degree_of_term(t) for t in g.poly.coeffs}
+            degs = {arrow_degree_of_term(scheme8, t) for t in g.poly.coeffs}
             assert len(degs) == 1
 
 
@@ -265,12 +328,6 @@ def test_verify_structure_three_indeterminates():
         assert report.all_pass, report.failures
 
 
-def test_multiplication_matrices_plural(scheme8):
-    mats = scheme8.multiplication_matrices()
-    assert len(mats) == 2
-    assert mats[0] == scheme8.multiplication_matrix(0)
-
-
 class TestBuiltOnce:
     """A scheme builds its generators once however many views read them."""
 
@@ -332,11 +389,11 @@ def small_order_ideals(draw):
 def reference_generators(scheme):
     """(kind, j, j', row, meta, poly) of every nonzero relation entry,
     from the dense matrices A_k: c_j - A_ell c_j' and A_k c_j - A_ell c_j'."""
-    mats = scheme.multiplication_matrices()
+    mats = multiplication_matrices(scheme)
     zero = Poly.zero(scheme.cring)
 
     def column(j):
-        return [scheme.cvar(i, j) for i in range(scheme.mu)]
+        return [cvar(scheme, i, j) for i in range(scheme.mu)]
 
     def apply(A, v):
         return [sum((A[r][m] * v[m] for m in range(scheme.mu)), zero)

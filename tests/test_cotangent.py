@@ -14,7 +14,6 @@ from reembed.cotangent import (
     cotangent_classes,
     enumerate_ltgfan_binomial,
     sigma_leading_S,
-    support_union,
 )
 from reembed.field import QQ, PrimeField
 from reembed.linear_gfan import ltgfan_linear
@@ -26,6 +25,18 @@ from reembed.ring import Ring, tvar
 
 def forms(ring, texts):
     return [parse_poly(s, ring) for s in texts]
+
+
+def support_union(lin_basis, ring):
+    """The indeterminates in the support of the reduced basis of the span.
+
+    The reduced basis is canonical, so the union does not depend on the
+    generating set.  For a binomial part the complement is exactly the set
+    of basic indeterminates; for others it need not be: on a + b + c the
+    support and the basic set are both {a, b, c}.
+    """
+    return frozenset(i for f in linear_part_of_ideal(lin_basis)
+                     for t in f.coeffs for i in range(ring.n) if t[i])
 
 
 def random_binomial_forms(rng, ring, count):

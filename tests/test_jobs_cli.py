@@ -1,7 +1,9 @@
 """Job parsing, report generation, golden files, exit codes."""
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
 import pathlib
 import random
@@ -82,6 +84,33 @@ def _run_lines():
 
 
 RUNS = _run_lines()
+STAIRCASE = "bbs_staircase"
+
+
+def _count_coherence(mp):
+    """Count SeparatingTuple.is_coherent calls through the monkeypatch mp."""
+    calls = []
+    original = SeparatingTuple.is_coherent
+
+    def counting(self):
+        calls.append(1)
+        return original(self)
+
+    mp.setattr(SeparatingTuple, "is_coherent", counting)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def staircase_run():
+    """(exit code, stdout, is_coherent calls) of one run of the staircase
+    job's documented command; its golden and its coherence count both read
+    this run, since the job takes seconds."""
+    out = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_coherence(mp)
+        with contextlib.redirect_stdout(out):
+            code = main(TestGolden._argv(STAIRCASE))
+    return code, out.getvalue(), len(calls)
 
 
 class TestGolden:
@@ -94,9 +123,12 @@ class TestGolden:
         return argv[1:-1] + [str(JOBS / f"{name}.job")]
 
     @pytest.mark.parametrize("name", sorted(RUNS))
-    def test_byte_identical_reports(self, name, capsys):
-        code = main(self._argv(name))
-        out = capsys.readouterr().out
+    def test_byte_identical_reports(self, name, capsys, request):
+        if name == STAIRCASE:
+            code, out, _ = request.getfixturevalue("staircase_run")
+        else:
+            code = main(self._argv(name))
+            out = capsys.readouterr().out
         assert out == (JOBS / "golden" / f"{name}.json").read_text()
         assert code == 0
 
@@ -168,21 +200,19 @@ class TestRenderOnce:
     @pytest.mark.parametrize(
         "name", sorted(n for n in RUNS if RUNS[n][1] in ("reembed", "bbs")))
     def test_coherence_checked_twice_per_tuple(self, name, capsys,
-                                               monkeypatch):
+                                               monkeypatch, request):
         # once where the check builds the tuple, once before substituting
-        calls = []
-        original = SeparatingTuple.is_coherent
-
-        def counting(self):
-            calls.append(1)
-            return original(self)
-
-        monkeypatch.setattr(SeparatingTuple, "is_coherent", counting)
-        assert main(TestGolden._argv(name)) == 0
-        data = json.loads(capsys.readouterr().out)
+        if name == STAIRCASE:
+            code, out, calls = request.getfixturevalue("staircase_run")
+        else:
+            counted = _count_coherence(monkeypatch)
+            code = main(TestGolden._argv(name))
+            out, calls = capsys.readouterr().out, len(counted)
+        assert code == 0
+        data = json.loads(out)
         tuples = len(data.get("results") or data["reembed"]["results"])
         assert tuples
-        assert len(calls) == 2 * tuples
+        assert calls == 2 * tuples
 
 
 class TestRunJob:
@@ -190,6 +220,21 @@ class TestRunJob:
         code = main(["gb", "--budget", "0",
                      str(JOBS / "gb_ten_generators.job")])
         assert code == 2
+
+    @pytest.mark.parametrize("argv,text,message", [
+        (["reembed", "--alg", "cotangent"], "ring a, b, c;\na + b + c\n",
+         "linear part is not binomial; falling back to fan candidates"),
+        (["gfan-linear"], "ring x, y;\nx + y\n2x + 2y\n",
+         "linear forms are dependent; auto-reducing to a basis"),
+    ], ids=("cotangent-fallback", "dependent-forms"))
+    def test_warning_prints_as_one_line(self, tmp_path, capsys, argv, text,
+                                        message):
+        job = tmp_path / "warn.job"
+        job.write_text(text)
+        assert main(argv + [str(job)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out
+        assert captured.err == f"reembed: warning: {message}\n"
 
     def test_missing_file(self, capsys):
         assert main(["gb", str(JOBS / "no_such.job")]) == 1
@@ -219,6 +264,8 @@ class TestRunJob:
         ["reembed", "--alg", "nope", str(JOBS / "reembed_twisted_curve.job")],
         ["reembed", "--subsets", str(JOBS / "reembed_twisted_curve.job")],
         ["bbs", "--subsets", str(JOBS / "bbs_staircase.job")],
+        # a negative budget used to run, exit 2 and report "budget": -5
+        ["gb", "--budget", "-5", str(JOBS / "gb_ten_generators.job")],
     ])
     def test_usage_error_exits_1(self, argv, capsys):
         # 2 means "inconclusive"; a usage error is an error
@@ -399,6 +446,30 @@ class TestErrorPositions:
         assert main(["gb", str(bad)]) == 1
         assert time.perf_counter() - start < 1.0
         assert f"{bad}:2:15: modulus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,at", [
+        ("(a+b+c+d+e)^30 - a", "^"),
+        ("(a+b+c+d+e)^7*(a+b+c+d+e)^7", "*"),
+        ("(a+b+c+d+e)^7 (a+b+c+d+e)^7", " (")],
+        ids=("power", "product", "juxtaposition"))
+    def test_huge_expansion_fails_fast(self, tmp_path, capsys, line, at):
+        # the parse refuses at the operator, before any budget applies
+        bad = tmp_path / "bad.job"
+        bad.write_text(f"ring a, b, c, d, e;\n{line}\n")
+        start = time.process_time()
+        assert main(["gb", "--budget", "1", str(bad)]) == 1
+        assert time.process_time() - start < 1.0
+        col = line.index(at) + len(at)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}:2:{col}: expansion "
+                                       "exceeds the parse limit")
+
+    def test_power_within_the_parse_limit(self, ring_xyz):
+        ring = parse_ring("ring a, b, c, d, e;")
+        assert len(parse_poly("(a+b+c+d+e)^10", ring)) == 1001
+        assert parse_poly("(x - y)^3 (x + y)", ring_xyz) \
+            == parse_poly("x^4 - 2x^3*y + 2x*y^3 - y^4", ring_xyz)
 
 
 class TestRoundTrip:
