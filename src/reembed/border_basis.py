@@ -9,7 +9,8 @@ Every entry is a sum of single indeterminates and products of two, so each
 generator is built and checked in its index form: a dict from a sorted
 tuple of c-indices, (a,) or (a, b) with a <= b, to a field element.  The
 cost of a term is then its 1-2 indices, not the 25-180 exponents of the
-ring.  Each generator also carries the same polynomial as a ``Poly``.
+ring.  A generator is kept in index form only: ``defining_ideal`` builds
+its ``Poly`` when asked, which only the search of ``bbs --reembed`` does.
 
 The module also classifies rim/interior indeterminates, carries the arrow
 grading, and verifies the structural facts the construction promises
@@ -19,10 +20,13 @@ shape, and the placement of rim indeterminates in the cotangent classes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
-from .cotangent import cotangent_classes
+from .cotangent import (
+    cotangent_classes,  # not called here: perfbench/spans.py binds it here
+    cotangent_classes_of_rows,
+)
 from .field import QQ
 from .ordering import degrevlex
 from .poly import Poly, join_terms
@@ -103,8 +107,8 @@ class NeighbourGenerator:
     """One nonzero entry of a next-door or across-the-rim relation tuple.
 
     ``form`` is the entry in index form ({sorted c-index tuple: coefficient},
-    see the module docstring) and ``poly`` the same polynomial in the
-    scheme's ring; both are built once, and equality compares ``poly``.
+    see the module docstring), its only stored form; equality compares it.
+    ``BorderBasisScheme.defining_ideal`` turns it into a ``Poly``.
     """
 
     kind: str       # "next-door" | "across-rim"
@@ -112,8 +116,7 @@ class NeighbourGenerator:
     jp: int         # border position of b_j'
     row: int        # entry index into the tuple (an O position)
     meta: tuple     # ND: (ell,); AR: (k, ell, parent position)
-    poly: Poly
-    form: dict = field(compare=False, repr=False)
+    form: dict
 
 
 def _add(form, key, c):
@@ -251,10 +254,7 @@ class BorderBasisScheme:
             for a in key:
                 e[a] += 1
             coeffs[tuple(e)] = c
-        p = Poly.__new__(Poly)
-        p.ring = self.cring
-        p.coeffs = coeffs
-        return p
+        return Poly._trusted(self.cring, coeffs)
 
     # ---------- neighbour pairs and generators ----------
 
@@ -300,8 +300,7 @@ class BorderBasisScheme:
 
         def emit(kind, j, jp, row, meta, form):
             if form:
-                out.append(NeighbourGenerator(kind, j, jp, row, meta,
-                                              self._poly(form), form))
+                out.append(NeighbourGenerator(kind, j, jp, row, meta, form))
 
         one = self.cring.field.one()
         for j, jp, ell in self.next_door_pairs():
@@ -326,8 +325,8 @@ class BorderBasisScheme:
         return self._generators
 
     def defining_ideal(self):
-        """Generators of the scheme's vanishing ideal in K[C]."""
-        return [g.poly for g in self.generators]
+        """Generators of the scheme's vanishing ideal in K[C], built anew."""
+        return [self._poly(g.form) for g in self.generators]
 
     def dimension(self):
         return self.mu * self.nvars
@@ -335,15 +334,12 @@ class BorderBasisScheme:
     # ---------- cotangent view ----------
 
     def cotangent(self):
-        """Cotangent classes of the defining ideal, computed once.
-
-        ``cotangent_classes`` row-reduces the generators' linear parts
-        itself, so they go in as they are.
-        """
+        """Cotangent classes of the defining ideal, computed once from the
+        row {a: coefficient} of each form's degree-one keys (a,)."""
         if self._classes is None:
-            lin = [_linear_part(g.form) for g in self.generators]
-            self._classes = cotangent_classes(
-                [self._poly(part) for part in lin if part], self.cring)
+            rows = [{key[0]: c for key, c in g.form.items() if len(key) == 1}
+                    for g in self.generators]
+            self._classes = cotangent_classes_of_rows(rows, self.cring)
         return self._classes
 
     # ---------- structural verification ----------

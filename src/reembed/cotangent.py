@@ -70,6 +70,12 @@ class CotangentClasses:
 def cotangent_classes(lin_basis, ring=None):
     """Classify the ring's indeterminates modulo the span of linear forms."""
     ring, rows = linear_rows(list(lin_basis), ring)
+    return cotangent_classes_of_rows(rows, ring)
+
+
+def cotangent_classes_of_rows(rows, ring):
+    """Classify the ring's indeterminates modulo the span of sparse rows
+    {indeterminate index: coefficient}."""
     rows, pivots = linalg.rref(rows, ring.field)
     # residue of x_i in the free coordinates: a free column is itself, a
     # pivot is its row without the pivot entry (the sign does not matter)

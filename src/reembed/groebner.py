@@ -23,9 +23,10 @@ from .poly import Poly
 from .ring import Ring, tdeg, tdivides, tlcm, tmul, tvar
 
 DEFAULT_STEP_LIMIT = 10 ** 6
-# support cap of each Poly.substitute call that coherent_interreduce and
-# eliminate_by_substitution make
-SUBSTITUTION_MAX_TERMS = 200000
+INTERREDUCE_MAX_PASSES = 1000   # substitution passes before CoherenceError
+# the desk-scale limits of check_regular_sequence
+REGULAR_SEQUENCE_MAX_VARS = 6
+REGULAR_SEQUENCE_MAX_DEG = 8
 
 
 class CoherenceError(RuntimeError):
@@ -55,10 +56,7 @@ def _prep(p, key):
 
 
 def _unprep(ring, f):
-    p = Poly.__new__(Poly)
-    p.ring = ring
-    p.coeffs = {t: c for _, t, c in f}
-    return p
+    return Poly._trusted(ring, {t: c for _, t, c in f})
 
 
 def _monic(f):
@@ -311,8 +309,7 @@ class ZSeparatingCheck:
         return self.status == "yes"
 
 
-def check_Z_separating(gens, markers, limit=DEFAULT_STEP_LIMIT,
-                       ordering=None):
+def check_Z_separating(gens, markers, limit=DEFAULT_STEP_LIMIT):
     """Is the ideal Z-separating for the given marker indeterminates?
 
     Runs Buchberger under an elimination ordering for the markers; "yes"
@@ -329,8 +326,7 @@ def check_Z_separating(gens, markers, limit=DEFAULT_STEP_LIMIT,
     for g in gens:
         if g.constant_coefficient():
             raise ValueError("generators must have zero constant term")
-    o = ordering or elimination_for(ring, markers)
-    gb = buchberger(gens, o, limit)
+    gb = buchberger(gens, elimination_for(ring, markers), limit)
     if not gb.complete:
         return ZSeparatingCheck("inconclusive", gb, None)
     found = {}
@@ -348,12 +344,13 @@ def check_Z_separating(gens, markers, limit=DEFAULT_STEP_LIMIT,
     return ZSeparatingCheck("yes", gb, sep, elimination_gens=rest)
 
 
-def coherent_interreduce(tup, max_passes=1000):
+def coherent_interreduce(tup):
     """Rewrite a separating tuple so no marker crosses into another member.
 
     Each pass substitutes z_j -> z_j - f_j into any member still containing
     z_j; for a genuine separating tuple the leading terms are stable and the
-    process terminates.  Budgets guard against misuse.
+    process terminates.  INTERREDUCE_MAX_PASSES passes and the substitution
+    cap guard against misuse.
     """
     ring = tup.ring
     markers = tup.markers
@@ -368,7 +365,7 @@ def coherent_interreduce(tup, max_passes=1000):
                 f"member for {ring.labels[z]} does not lead with its marker")
         polys.append(f.monic(o))
 
-    for _ in range(max_passes):
+    for _ in range(INTERREDUCE_MAX_PASSES):
         dirty = False
         for i in range(len(polys)):
             for j, z in enumerate(markers):
@@ -376,8 +373,7 @@ def coherent_interreduce(tup, max_passes=1000):
                     continue
                 if any(t[z] for t in polys[i].coeffs):
                     image = Poly.variable(ring, z) - polys[j]
-                    polys[i] = polys[i].substitute(
-                        {z: image}, max_terms=SUBSTITUTION_MAX_TERMS)
+                    polys[i] = polys[i].substitute({z: image})
                     dirty = True
         if not dirty:
             out = SeparatingTuple(ring, markers, tuple(polys))
@@ -398,7 +394,7 @@ def eliminate_by_substitution(gens, tup):
     images = tup.substitution()
     out = []
     for g in gens:
-        img = g.substitute(images, max_terms=SUBSTITUTION_MAX_TERMS)
+        img = g.substitute(images)
         if not img.is_zero():
             out.append(img)
     return out
@@ -464,8 +460,7 @@ def colon_ideal_gens(J_gens, f, limit=DEFAULT_STEP_LIMIT):
     return out
 
 
-def check_regular_sequence(polys, limit=DEFAULT_STEP_LIMIT, max_vars=6,
-                           max_deg=8):
+def check_regular_sequence(polys, limit=DEFAULT_STEP_LIMIT):
     """True iff the polynomials form a regular sequence in their ring.
 
     Checks (f_1..f_{i-1}) : f_i == (f_1..f_{i-1}) through colon-ideal
@@ -476,13 +471,15 @@ def check_regular_sequence(polys, limit=DEFAULT_STEP_LIMIT, max_vars=6,
     if not polys:
         raise ValueError("empty sequence")
     ring = polys[0].ring
-    if ring.n > max_vars:
-        raise ValueError(f"refusing: more than {max_vars} indeterminates")
+    if ring.n > REGULAR_SEQUENCE_MAX_VARS:
+        raise ValueError("refusing: more than "
+                         f"{REGULAR_SEQUENCE_MAX_VARS} indeterminates")
     for f in polys:
         if f.is_zero():
             raise ValueError("zero member in sequence")
-        if f.total_degree() > max_deg:
-            raise ValueError(f"refusing: degree above {max_deg}")
+        if f.total_degree() > REGULAR_SEQUENCE_MAX_DEG:
+            raise ValueError(
+                f"refusing: degree above {REGULAR_SEQUENCE_MAX_DEG}")
         if f.total_degree() == 0:
             return False
     o = degrevlex(ring.n)

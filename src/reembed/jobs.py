@@ -300,7 +300,7 @@ def _run_bbs(spec):
     nvars = spec.ring.n
     O = order_ideal(spec.terms, nvars)
     scheme = BorderBasisScheme(O, spec.ring.field)
-    gens = scheme.defining_ideal()
+    gens = scheme.generators
     classes = scheme.cotangent() if gens else None
     report = scheme.verify_structure()
     data = _meta(spec)
@@ -324,7 +324,7 @@ def _run_bbs(spec):
                           for i in range(scheme.mu)
                           for j in range(scheme.nu)},
         "generators": [form_string(g.form, scheme.cring.labels)
-                       for g in scheme.generators],
+                       for g in gens],
         "verification": dict(report.checks),
     })
     if classes is not None:
@@ -341,8 +341,9 @@ def _run_bbs(spec):
     ]
     exit_code = 0
     if spec.chain_reembed and gens:
-        sub = JobSpec(command="reembed", ring=scheme.cring, polys=gens,
-                      budget=spec.budget, alg="cotangent")
+        sub = JobSpec(command="reembed", ring=scheme.cring,
+                      polys=scheme.defining_ideal(), budget=spec.budget,
+                      alg="cotangent")
         inner = _search(sub)
         summary = {
             "status": inner.status,

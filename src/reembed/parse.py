@@ -210,13 +210,10 @@ def _parse_power(ts, ring):
     if ts.peek()[0] != "^":
         return base
     caret = ts.next()
-    neg = ts.peek()[0] == "-"
-    if neg:
-        ts.next()
-    e = int(ts.expect("int")[1])
-    if neg:
-        tok = ts.peek()
+    tok = ts.peek()
+    if tok[0] == "-":
         raise ParseError("negative exponent", tok[2], tok[3])
+    e = int(ts.expect("int")[1])
     # repeated squaring, as Poly.__pow__ does, with each product charged
     result = Poly.constant(ring, 1)
     while e:

@@ -11,6 +11,9 @@ from . import linalg
 from .ordering import degrevlex_key
 from .ring import tconst, tdeg, term_str, tmul, tvar
 
+# support cap of every intermediate sum and product in Poly.substitute
+SUBSTITUTION_MAX_TERMS = 200000
+
 
 class Poly:
     __slots__ = ("ring", "coeffs")
@@ -30,6 +33,14 @@ class Poly:
         self.coeffs = clean
 
     # ---------- constructors ----------
+
+    @classmethod
+    def _trusted(cls, ring, coeffs):
+        """A Poly that owns coeffs, a dict already coerced and zero-free."""
+        p = cls.__new__(cls)
+        p.ring = ring
+        p.coeffs = coeffs
+        return p
 
     @classmethod
     def zero(cls, ring):
@@ -84,18 +95,13 @@ class Poly:
                     out[t] = s
                 else:
                     del out[t]
-        p = Poly.__new__(Poly)
-        p.ring = self.ring
-        p.coeffs = out
-        return p
+        return Poly._trusted(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Poly.__new__(Poly)
-        p.ring = self.ring
-        p.coeffs = {t: -c for t, c in self.coeffs.items()}
-        return p
+        return Poly._trusted(self.ring,
+                             {t: -c for t, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -110,10 +116,8 @@ class Poly:
             c = self.ring.field.of(other)
             if not c:
                 return Poly.zero(self.ring)
-            p = Poly.__new__(Poly)
-            p.ring = self.ring
-            p.coeffs = {t: a * c for t, a in self.coeffs.items()}
-            return p
+            return Poly._trusted(self.ring,
+                                 {t: a * c for t, a in self.coeffs.items()})
         self._check(other)
         out = {}
         for s, a in self.coeffs.items():
@@ -128,10 +132,7 @@ class Poly:
                         out[u] = v
                     else:
                         del out[u]
-        p = Poly.__new__(Poly)
-        p.ring = self.ring
-        p.coeffs = out
-        return p
+        return Poly._trusted(self.ring, out)
 
     __rmul__ = __mul__
 
@@ -154,10 +155,8 @@ class Poly:
         c = self.ring.field.of(coeff)
         if not c:
             return Poly.zero(self.ring)
-        p = Poly.__new__(Poly)
-        p.ring = self.ring
-        p.coeffs = {tmul(t, term): a * c for t, a in self.coeffs.items()}
-        return p
+        return Poly._trusted(
+            self.ring, {tmul(t, term): a * c for t, a in self.coeffs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
@@ -191,11 +190,11 @@ class Poly:
             return self
         return self * (self.ring.field.one() / c)
 
-    def substitute(self, images, max_terms=None):
+    def substitute(self, images):
         """Evaluate with the indeterminates at index i replaced by images[i].
 
-        Unmapped indeterminates stay themselves.  max_terms caps the
-        intermediate support size and raises RuntimeError when exceeded.
+        Unmapped indeterminates stay themselves.  An intermediate support
+        past SUBSTITUTION_MAX_TERMS raises RuntimeError.
         """
         ring = self.ring
         base = {i: Poly.variable(ring, i) for i in range(ring.n)}
@@ -218,10 +217,10 @@ class Poly:
             for i, e in enumerate(t):
                 if e:
                     part = part * power(i, e)
-                    if max_terms is not None and len(part) > max_terms:
+                    if len(part) > SUBSTITUTION_MAX_TERMS:
                         raise RuntimeError("substitution support exceeded budget")
             total = total + part
-            if max_terms is not None and len(total) > max_terms:
+            if len(total) > SUBSTITUTION_MAX_TERMS:
                 raise RuntimeError("substitution support exceeded budget")
         return total
 

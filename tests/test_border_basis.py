@@ -1,6 +1,8 @@
 """Border basis scheme: order ideals, relations, structure checks."""
 
+import json
 import random
+import tracemalloc
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -16,6 +18,7 @@ from reembed.border_basis import (
     order_ideal,
     rim_interior,
 )
+from reembed.cli import main
 from reembed.cotangent import cotangent_classes
 from reembed.field import QQ, PrimeField
 from reembed.jobs import parse_job, run_job
@@ -241,8 +244,10 @@ class TestArrowGrading:
         assert scheme8.arrow_degree(4, 0) == (1, 0)
 
     def test_homogeneity_of_all_generators(self, scheme8):
-        for g in scheme8.neighbour_generators():
-            degs = {arrow_degree_of_term(scheme8, t) for t in g.poly.coeffs}
+        gens = scheme8.defining_ideal()
+        assert len(gens) == 32
+        for p in gens:
+            degs = {arrow_degree_of_term(scheme8, t) for t in p.coeffs}
             assert len(degs) == 1
 
 
@@ -365,8 +370,57 @@ class TestBuiltOnce:
         assert isinstance(scheme.generators, tuple)
         assert scheme.generators is scheme.generators
         assert scheme.cotangent() is scheme.cotangent()
-        assert [g.poly for g in scheme.neighbour_generators()] \
-            == scheme.defining_ideal()
+        assert scheme.neighbour_generators() == list(scheme.generators)
+
+
+class TestPolysOnlyForTheSearch:
+    """A scheme keeps its generators in index form: a plain ``bbs`` job
+    builds no Poly of the scheme's ring, and ``bbs --reembed`` builds one
+    per generator, for the search."""
+
+    @pytest.fixture
+    def poly_calls(self, monkeypatch):
+        calls = []
+        original = BorderBasisScheme._poly
+
+        def counting(self, form):
+            calls.append(form)
+            return original(self, form)
+
+        monkeypatch.setattr(BorderBasisScheme, "_poly", counting)
+        return calls
+
+    @pytest.mark.parametrize("text,chain", [
+        ("y^3, x*y^2, x^2", False),
+        ("x^2", True),
+    ])
+    def test_polys_are_built_only_for_reembed(self, tmp_path, capsys,
+                                              poly_calls, text, chain):
+        job = tmp_path / "scheme.job"
+        job.write_text(f"job: bbs;\nring x, y;\n{text}\n")
+        argv = ["bbs", str(job)] + (["--reembed"] if chain else [])
+        assert main(argv) == 0
+        assert ("re-embedding search" in capsys.readouterr().out) == chain
+        built = len(poly_calls)
+        terms = parse_job(job.read_text()).terms
+        count = len(BorderBasisScheme(order_ideal(terms, 2)).generators)
+        assert count > 0
+        assert built == (count if chain else 0)
+
+    def test_big_scheme_stays_small(self, tmp_path, capsys):
+        # the index forms need about 5 MB; a Poly per generator, with 1458
+        # exponents per term, needs about 210 MB
+        job = tmp_path / "big.job"
+        job.write_text("job: bbs;\nring x, y;\nx^8*y^8\n")
+        tracemalloc.start()
+        try:
+            assert main(["bbs", "--json", str(job)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        data = json.loads(capsys.readouterr().out)
+        assert data["num_indets"] == 1458
+        assert peak < 50 * 2 ** 20
 
 
 # ---------- the index form against plain Poly arithmetic ----------
@@ -418,13 +472,15 @@ class TestIndexForm:
     def test_generators_rendering_and_classes(self, O, p):
         scheme = BorderBasisScheme(O, PrimeField(p) if p else QQ)
         gens = scheme.generators
-        assert [(g.kind, g.j, g.jp, g.row, g.meta, g.poly) for g in gens] \
-            == reference_generators(scheme)
+        polys = scheme.defining_ideal()
+        assert len(polys) == len(gens)
+        assert [(g.kind, g.j, g.jp, g.row, g.meta, f)
+                for g, f in zip(gens, polys)] == reference_generators(scheme)
         labels = scheme.cring.labels
-        for g in gens:
-            assert form_string(g.form, labels) == g.poly.to_string()
+        for g, f in zip(gens, polys):
+            assert form_string(g.form, labels) == f.to_string()
         if gens:
-            lin = linear_part_of_ideal(scheme.defining_ideal())
+            lin = linear_part_of_ideal(polys)
             assert scheme.cotangent() == cotangent_classes(lin, scheme.cring)
 
     def test_bbs_report_renders_every_generator(self, stairs8):

@@ -28,7 +28,7 @@ from reembed.field import QQ, PrimeField
 from reembed.ordering import TermOrdering, degrevlex, elimination_for, lex
 from reembed.parse import parse_poly, parse_ring
 from reembed.poly import Poly, linear_part_of_ideal
-from reembed.ring import Ring, tdeg
+from reembed.ring import Ring, tdeg, tvar
 from reembed.search import candidate_tuples_via_cotangent
 
 
@@ -163,16 +163,22 @@ class TestCheckZSeparating:
     def test_agrees_across_elimination_orderings(self, ring_xyzw,
                                                  twisted_curve, curve10):
         # the answer must not depend on which elimination ordering for Z
-        # realizes the check
+        # realizes the check: under another one, "yes" exactly when every
+        # marker leads a reduced-basis element
+        answers = []
         for gens, markers in [(twisted_curve, ["x", "y", "w"]),
                               (twisted_curve, ["x", "y", "z"]),
                               (curve10, ["x"]), (curve10, ["y"])]:
             ring = gens[0].ring
             idx = ring.indices(markers)
             alt = elimination_degree_block(idx, ring.n)
-            first = check_Z_separating(gens, markers)
-            second = check_Z_separating(gens, markers, ordering=alt)
-            assert first.status == second.status
+            gb = buchberger(gens, alt)
+            assert gb.complete
+            leads = {g.leading_term(alt)[0] for g in gb.basis}
+            every = all(tvar(ring.n, z) in leads for z in idx)
+            answers.append(check_Z_separating(gens, markers).status)
+            assert answers[-1] == ("yes" if every else "no")
+        assert answers == ["yes", "no", "yes", "no"]
 
     def test_consistency_with_sigma_leading(self, ring_xyzw, twisted_curve):
         # at full size the degree-1 leading terms of the basis are exactly
@@ -333,12 +339,14 @@ class TestEliminationOrderingIndependence:
         assert check_regular_sequence(polys(ring, ["x", "y"]),
                                       limit=0) is None
 
-    def test_interreduce_budget_failure(self, ring_xyzw, graph_surface):
+    def test_interreduce_budget_failure(self, monkeypatch, ring_xyzw,
+                                        graph_surface):
+        monkeypatch.setattr(groebner, "INTERREDUCE_MAX_PASSES", 0)
         f1, f2, _ = graph_surface
         tup = SeparatingTuple(ring_xyzw, ring_xyzw.indices(("x", "y")),
                               (f1, f2))
         with pytest.raises(CoherenceError):
-            coherent_interreduce(tup, max_passes=0)
+            coherent_interreduce(tup)
 
 
 class TestSubstitutedMembership:

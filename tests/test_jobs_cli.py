@@ -426,10 +426,16 @@ class TestErrorPositions:
         ("gb", "ring x, y; x + y\n", "1:12", "unexpected trailing input 'x'"),
         ("gb", "ring x, y; garbage ) (\nx + y\n", "1:12",
          "unexpected trailing input 'garbage'"),
+        # a negative exponent is reported at its sign
+        ("gb", "ring x, y;\nx^-2 + y\n", "2:3", "negative exponent"),
+        ("gb", "ring x, y;\nx^-2\n", "2:3", "negative exponent"),
+        ("gb", "ring x, y;\n(x+y)^-1\n", "2:7", "negative exponent"),
     ], ids=("nonlinear-form", "unknown-directive", "composite-modulus",
             "indented-form", "indented-ring", "indented-nonlinear-form",
             "bbs-term", "bbs-coefficient", "no-polynomial", "no-term",
-            "ring-then-polynomial", "ring-then-garbage"))
+            "ring-then-polynomial", "ring-then-garbage",
+            "negative-exponent-then-sum", "negative-exponent",
+            "negative-exponent-of-sum"))
     def test_error_names_its_line(self, tmp_path, capsys, command, text,
                                   where, message):
         bad = tmp_path / "bad.job"

@@ -25,6 +25,7 @@ from reembed.search import (
     find_reembedding_via_gfan,
 )
 from reembed.cotangent import cotangent_classes
+from test_groebner import _two_grevlex_blocks
 
 
 class TestViaGfan:
@@ -295,7 +296,7 @@ class TestYesTuplesAgainstSympy:
     flags agree with sympy: ``affine_cell`` exactly when substituting h
     kills every generator, ``optimal`` exactly when Z has the rank of the
     generators' linear coefficients; and with the ``certify_*``
-    cross-checks."""
+    cross-checks.  Every "no" tuple is refuted by sympy's basis too."""
 
     @pytest.mark.parametrize("modulus", (None, 101))
     @given(ideal=hidden_tuple_ideals())
@@ -340,3 +341,34 @@ class TestYesTuplesAgainstSympy:
             assert res.optimal == (len(res.Z) == rank)
             assert res.affine_cell == certify_affine_cell(res, gens)
             assert res.optimal == certify_optimal(res, gens)
+
+    @pytest.mark.parametrize("modulus", (None, 101))
+    @given(ideal=hidden_tuple_ideals())
+    def test_no_tuples_are_sound(self, modulus, ideal):
+        # "no" from either search: under sympy's reduced basis for two
+        # grevlex blocks, Z's indeterminates first, some marker leads no
+        # basis element (the answer does not depend on the elimination
+        # ordering)
+        order, texts = ideal
+        mod = f" mod {modulus}" if modulus else ""
+        ring = parse_ring(f"ring {', '.join(order)}{mod};")
+        gens = [parse_poly(t, ring) for t in texts]
+        gens = [g for g in gens if g]
+        if not gens:
+            return
+        noes = {Z for report in (find_reembedding_via_gfan(gens),
+                                 find_reembedding_via_cotangent(gens))
+                for Z, check in report.tried if check == "no"}
+        symbols = {s: sympy.Symbol(s) for s in order}
+        domain = {"modulus": modulus} if modulus else {"domain": "QQ"}
+        exprs = [sympy_expr(str(g), symbols) for g in gens]
+        for Z in sorted(noes):
+            labels = [ring.labels[i] for i in Z]
+            labels += [s for s in ring.labels if s not in labels]
+            syms = [symbols[s] for s in labels]
+            sympy_order = _two_grevlex_blocks(len(Z))
+            gb = sympy.groebner(exprs, *syms, order=sympy_order, **domain)
+            leads = {max(p.monoms(), key=sympy_order) for p in gb.polys}
+            markers = [tuple(int(i == k) for i in range(len(syms)))
+                       for k in range(len(Z))]
+            assert not all(m in leads for m in markers), labels[:len(Z)]
