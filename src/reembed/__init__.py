@@ -6,7 +6,7 @@ Submodules:
   ordering      weight-matrix term orderings
   parse         text grammar for rings and polynomials, with bounded
                 expansion work
-  linalg        exact linear algebra (sparse RREF, Bareiss rank)
+  linalg        exact linear algebra (sparse RREF, a determinant loop)
   linear_gfan   Groebner fans of linear ideals by a walk of tableau pivots
   cotangent     cotangent equivalence classes and closed-form fans
   groebner      Buchberger engine, separating-tuple checks, elimination

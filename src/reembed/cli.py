@@ -106,7 +106,7 @@ def _run(argv):
     try:
         with open(args.jobfile, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     try:

@@ -59,6 +59,10 @@ def parse_ordering_spec(spec, ring):
         return elimination_for(ring, names)
     if spec.startswith("["):
         rows = json.loads(spec)
+        # a bool is an int to isinstance, and int() would truncate a float
+        if not all(isinstance(row, list)
+                   and all(type(w) is int for w in row) for row in rows):
+            raise ValueError("a weight matrix is a list of rows of integers")
         return TermOrdering(rows)
     raise ValueError(f"unknown ordering spec {spec!r}")
 

@@ -1,14 +1,14 @@
 """Exact linear algebra on small matrices.
 
-Rank and determinant work over the rationals goes through fraction-free
-Bareiss elimination on integer-scaled dense rows, which keeps intermediate
-entries as single big ints instead of rationals with growing denominators.
-The canonical reduced row echelon form is incremental Gauss-Jordan over the
-field on sparse rows ({column: value} for the nonzeros), which it takes and
-returns, so its cost is set by the nonzeros rather than by the column count:
-the linear parts it reduces are often binomial rows in rings of hundreds of
-indeterminates.  The RREF of a row space is unique, so the result does not
-depend on the order in which rows are taken.
+One elimination (`rref`), plus `det`'s loop.  The canonical reduced row
+echelon form is incremental Gauss-Jordan over the field on sparse rows
+({column: value} for the nonzeros), which it takes and returns, so its cost
+is set by the nonzeros rather than by the column count: the linear parts it
+reduces are often binomial rows in rings of hundreds of indeterminates.  The
+RREF of a row space is unique, so the result does not depend on the order in
+which rows are taken.  Rank is its pivot count and a left solve its
+right-hand block; the determinant is Gaussian elimination tracking the
+product of the pivots, over any field.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ def _sub_multiple(v, f, w):
                 del v[c]
 
 
+# The integer routines (int_scaled_rows, the two Bareiss eliminations,
+# int_matrix_rank) have no caller here: perfbench/spans.py binds them.
 def int_scaled_rows(rows):
     """Scale each rational row by a positive integer so entries are ints.
 
@@ -150,34 +152,18 @@ def bareiss_det_int(rows):
 
 
 def rank(rows, field=QQ):
-    """Matrix rank; Bareiss over QQ, generic elimination otherwise."""
-    if not rows:
-        return 0
-    if field == QQ:
-        return bareiss_rank_int(int_scaled_rows([[field.of(x) for x in r] for r in rows]))
-    return len(rref([dict(enumerate(r)) for r in rows], field)[0])
+    """Matrix rank: the pivot count of the RREF over the field."""
+    return len(rref([dict(enumerate(r)) for r in rows], field)[1])
 
 
 def det(rows, field=QQ):
-    """Determinant of a square matrix over the field."""
+    """Determinant of a square matrix over the field: Gaussian elimination
+    tracking the product of the pivots."""
     n = len(rows)
     if n == 0:
         return field.one()
     if any(len(r) != n for r in rows):
         raise ValueError("determinant of a non-square matrix")
-    if field == QQ:
-        m = [[field.of(x) for x in r] for r in rows]
-        scale = field.one()
-        ints = []
-        for row in m:
-            den = 1
-            for x in row:
-                d = x.denominator
-                den = den // gcd(den, d) * d
-            scale = scale * den
-            ints.append([int(x.numerator) * (den // int(x.denominator)) for x in row])
-        return field.of(bareiss_det_int(ints)) / scale
-    # generic: Gaussian elimination tracking the product of pivots
     m = [[field.of(x) for x in r] for r in rows]
     result = field.one()
     for c in range(n):
@@ -203,33 +189,21 @@ def det(rows, field=QQ):
 def solve_left_inverse_times(sub, full, field=QQ):
     """Return sub^(-1) * full for a square invertible sub.
 
-    Computed by Gauss-Jordan on the block matrix [sub | full].
+    Read off the RREF of the block rows [sub | full]: sub is invertible
+    exactly when the first s pivots are the columns 0..s-1, and the
+    right-hand block of those rows is then sub^(-1) * full.
     """
     s = len(sub)
     if any(len(r) != s for r in sub):
         raise ValueError("submatrix is not square")
-    m = [
-        [field.of(x) for x in sub_row] + [field.of(x) for x in full_row]
-        for sub_row, full_row in zip(sub, full)
-    ]
-    width = len(m[0])
-    for c in range(s):
-        pr = None
-        for i in range(c, s):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            raise SingularMatrixError("singular column submatrix")
-        m[c], m[pr] = m[pr], m[c]
-        piv = m[c][c]
-        if piv != 1:
-            m[c] = [x / piv for x in m[c]]
-        for i in range(s):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return [row[s:width] for row in m]
+    reduced, pivots = rref([dict(enumerate([*sub_row, *full_row]))
+                            for sub_row, full_row in zip(sub, full)], field)
+    if pivots[:s] != tuple(range(s)):
+        raise SingularMatrixError("singular column submatrix")
+    width = len(full[0]) if full else 0
+    zero = field.zero()
+    return [[row.get(s + j, zero) for j in range(width)]
+            for row in reduced[:s]]
 
 
 def int_matrix_rank(rows):

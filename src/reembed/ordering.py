@@ -11,7 +11,10 @@ from __future__ import annotations
 
 from operator import neg
 
-from .linalg import int_matrix_rank
+from . import linalg
+from .linalg import (
+    int_matrix_rank,  # not called here: perfbench/spans.py binds it here
+)
 
 
 class TermOrdering:
@@ -36,7 +39,7 @@ class TermOrdering:
             self._validate()
 
     def _validate(self):
-        if int_matrix_rank([list(r) for r in self.rows]) != self.n:
+        if linalg.rank(self.rows) != self.n:
             raise ValueError("weight matrix must have rank n")
         for c in range(self.n):
             for row in self.rows:

@@ -10,7 +10,8 @@ identifier while ``x y`` and ``x*y`` both parse as the product of x and y.
 Expanding a product costs one step per pair of terms, and no budget applies
 before the parse ends, so each polynomial may expand PARSE_WORK_LIMIT pairs:
 a product of two operands with 2 or more terms each, each squaring of a
-``^`` included, is charged len(p) * len(q).
+``^`` included, is charged len(p) * len(q).  A rational power of one term
+grows its coefficient instead, and is refused past PARSE_COEFFICIENT_BITS.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ _SYMBOLS = "+-*^(),;/"
 # (a+b+c+d+e)^10, 1001 terms, takes 12575 and parses; ^14 does not.  The
 # job files under jobs/ and the benchmark corpora multiply no two sums.
 PARSE_WORK_LIMIT = 10 ** 5
+# about 3000 decimal digits, so a report can still print the coefficient:
+# Python refuses str() of an int past 4300 digits
+PARSE_COEFFICIENT_BITS = 10 ** 4
 
 
 def _tokenize(text):
@@ -214,6 +218,13 @@ def _parse_power(ts, ring):
     if tok[0] == "-":
         raise ParseError("negative exponent", tok[2], tok[3])
     e = int(ts.expect("int")[1])
+    if len(base) == 1 and ring.field == QQ:
+        (c,) = base.coeffs.values()
+        bits = max(c.numerator.bit_length(), c.denominator.bit_length())
+        if abs(c) != 1 and e * bits > PARSE_COEFFICIENT_BITS:
+            raise ParseError("power exceeds the parse limit of "
+                             f"{PARSE_COEFFICIENT_BITS} coefficient bits",
+                             caret[2], caret[3])
     # repeated squaring, as Poly.__pow__ does, with each product charged
     result = Poly.constant(ring, 1)
     while e:
@@ -232,10 +243,12 @@ def _parse_atom(ts, ring):
         if ts.peek()[0] == "/":
             ts.next()
             den_tok = ts.expect("int")
-            den = int(den_tok[1])
-            if den == 0:
-                raise ParseError("zero denominator", den_tok[2], den_tok[3])
-            return Poly(ring, {tconst(ring.n): ring.field.of(f"{num}/{den}")})
+            try:    # a denominator of 0, or of a multiple of the modulus
+                c = ring.field.of(f"{num}/{den_tok[1]}")
+            except ZeroDivisionError:
+                raise ParseError("zero denominator", den_tok[2],
+                                 den_tok[3]) from None
+            return Poly(ring, {tconst(ring.n): c})
         return Poly.constant(ring, num)
     if tok[0] == "name":
         try:

@@ -60,11 +60,15 @@ class SearchReport:
     status: str
     results: list = field(default_factory=list)
     tried: list = field(default_factory=list)   # (Z tuple, check status)
-    unverified: list = field(default_factory=list)
 
     @property
     def result(self):
         return self.results[0] if self.results else None
+
+    @property
+    def unverified(self):
+        """Every tried Z whose check aborted on budget."""
+        return [Z for Z, status in self.tried if status == "inconclusive"]
 
 
 def _validate_input(gens):
@@ -192,8 +196,6 @@ def _verify(gens, ring, lin_dim, candidates, limit, first_only):
             if first_only:
                 report.status = "found"
                 return report
-        elif check.status == "inconclusive":
-            report.unverified.append(Z)
     if report.unverified:
         report.status = "inconclusive"
     elif not report.results:

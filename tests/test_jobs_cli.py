@@ -257,6 +257,43 @@ class TestRunJob:
         assert captured.out == ""
         assert "ordering has" in captured.err
 
+    @staticmethod
+    def _assert_one_error_line(captured):
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+    @pytest.mark.parametrize("matrix", [
+        # rows that are not lists used to raise TypeError from the ordering
+        "[1,2,3]", "[[1,1,1],2,[0,0,1]]",
+        # weights that are not ints used to run as int() of them
+        "[[1.5,0,0],[0,1,0],[0,0,1]]", "[[true,0,0],[0,1,0],[0,0,1]]",
+        "[[\"1\",0,0],[0,1,0],[0,0,1]]", "[[1,0,0],[0,1,null],[0,0,1]]"])
+    def test_weight_matrix_of_integer_rows_only(self, tmp_path, capsys,
+                                                matrix):
+        job = tmp_path / "xyz.job"
+        job.write_text("ring x, y, z;\nx*z - x\nx*z + y\n")
+        assert main(["gb", "--json", "--ordering", matrix, str(job)]) == 1
+        self._assert_one_error_line(capsys.readouterr())
+
+    def test_custom_weight_matrix_report(self, tmp_path, capsys):
+        job = tmp_path / "xyz.job"
+        job.write_text("ring x, y, z;\nx*z - x\nx*z + y\n")
+        assert main(["gb", "--json", "--ordering",
+                     "[[1,1,1],[0,1,0],[0,0,1]]", str(job)]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["ordering"] == {"kind": "custom",
+                                    "matrix": [[1, 1, 1], [0, 1, 0],
+                                               [0, 0, 1]]}
+        assert data["basis"] == ["x*z - x", "y + x"]
+
+    def test_undecodable_job_file(self, tmp_path, capsys):
+        job = tmp_path / "binary.job"
+        job.write_bytes(b"\xff\xfe")
+        assert main(["gb", str(job)]) == 1
+        self._assert_one_error_line(capsys.readouterr())
+
     @pytest.mark.parametrize("argv", [
         ["gb", "--no-such-flag", str(JOBS / "gb_ten_generators.job")],
         ["gb"],
@@ -430,12 +467,14 @@ class TestErrorPositions:
         ("gb", "ring x, y;\nx^-2 + y\n", "2:3", "negative exponent"),
         ("gb", "ring x, y;\nx^-2\n", "2:3", "negative exponent"),
         ("gb", "ring x, y;\n(x+y)^-1\n", "2:7", "negative exponent"),
+        # a denominator that is zero in F_p used to raise ZeroDivisionError
+        ("gb", "ring x mod 7;\nx + 1/14\n", "2:7", "zero denominator"),
     ], ids=("nonlinear-form", "unknown-directive", "composite-modulus",
             "indented-form", "indented-ring", "indented-nonlinear-form",
             "bbs-term", "bbs-coefficient", "no-polynomial", "no-term",
             "ring-then-polynomial", "ring-then-garbage",
             "negative-exponent-then-sum", "negative-exponent",
-            "negative-exponent-of-sum"))
+            "negative-exponent-of-sum", "zero-denominator-mod-p"))
     def test_error_names_its_line(self, tmp_path, capsys, command, text,
                                   where, message):
         bad = tmp_path / "bad.job"
@@ -470,6 +509,21 @@ class TestErrorPositions:
         assert captured.out == ""
         assert captured.err.startswith(f"error: {bad}:2:{col}: expansion "
                                        "exceeds the parse limit")
+
+    @pytest.mark.parametrize("line,col", [
+        ("(4)^10000000000000000000 + a", 4), ("a - (2/3*b)^9999", 12),
+        ("((3)^40)^40000", 9)], ids=("constant", "term", "nested"))
+    def test_huge_coefficient_power_fails_fast(self, tmp_path, capsys, line,
+                                               col):
+        # 4^(10^19) used to be computed and never finished
+        bad = tmp_path / "bad.job"
+        bad.write_text(f"ring a, b;\n{line}\n")
+        start = time.process_time()
+        assert main(["gb", str(bad)]) == 1
+        assert time.process_time() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: {bad}:2:{col}: power exceeds the parse limit of 10000 "
+            "coefficient bits\n")
 
     def test_power_within_the_parse_limit(self, ring_xyz):
         ring = parse_ring("ring a, b, c, d, e;")

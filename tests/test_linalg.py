@@ -144,13 +144,15 @@ def matrices(draw, denominators):
     return draw(st.permutations(rows))
 
 
+def residue(x, p):
+    """The int in 0..p-1 that a rational (int, Fraction or "a/b") maps to."""
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
 def dense_rref_mod(rows, p):
     """Dense Gauss-Jordan over F_p on ints; the reference for prime fields."""
-    def residue(x):
-        x = Fraction(x)
-        return x.numerator * pow(x.denominator, -1, p) % p
-
-    m = [[residue(x) for x in row] for row in rows]
+    m = [[residue(x, p) for x in row] for row in rows]
     pivots = []
     r = 0
     for c in range(len(m[0])):
@@ -189,6 +191,74 @@ class TestRrefProperties:
         got, pivots = dense_rref(rows, PrimeField(p))
         assert (([[x.v for x in row] for row in got], pivots)
                 == dense_rref_mod(rows, p))
+
+
+@st.composite
+def square_matrices(draw, denominators, max_size=4):
+    """Square matrices, one in three with a row that is a combination of
+    the others, so singular ones come up often."""
+    n = draw(st.integers(1, max_size))
+    row = st.lists(entries(denominators), min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    if n > 1 and draw(st.integers(0, 2)) == 0:
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=n - 1,
+                               max_size=n - 1))
+        rows[-1] = [str(sum(c * Fraction(r[j])
+                            for c, r in zip(coeffs, rows)))
+                    for j in range(n)]
+    return draw(st.permutations(rows))
+
+
+F101 = PrimeField(101)
+
+
+class TestRankDetSolveProperties:
+    """rank, det and solve_left_inverse_times against references that do
+    not import reembed: sympy, cofactor expansion, dense Gauss-Jordan."""
+
+    @given(matrices((1, 2, 3, 5, 7)))
+    @example([[0, 0, 0], [0, 0, 0]])
+    def test_rank_matches_sympy_over_qq(self, rows):
+        ref = sympy.Matrix([[sympy.Rational(str(x)) for x in row]
+                            for row in rows]).rank()
+        assert rank(rows, QQ) == ref
+
+    @given(matrices((1, 2, 3, 4)))
+    @example([[101, 202], [1, 2]])
+    def test_rank_matches_dense_reference_over_f101(self, rows):
+        assert rank(rows, F101) == len(dense_rref_mod(rows, 101)[1])
+
+    @given(square_matrices((1, 2, 3, 5, 7)))
+    def test_det_matches_laplace_over_qq(self, rows):
+        assert det(rows, QQ) == laplace_det([[Fraction(x) for x in row]
+                                             for row in rows])
+
+    @given(square_matrices((1, 2, 3, 4)))
+    @example([[101, 0], [0, 1]])
+    def test_det_matches_laplace_over_f101(self, rows):
+        ref = laplace_det([[Fraction(x) for x in row] for row in rows])
+        assert det(rows, F101).v == residue(ref, 101)
+
+    @given(square_matrices((1, 2, 3, 4), max_size=3), st.data())
+    @example([[1, 2], [2, 4]], None)
+    @example([[102, 0], [0, 1]], None)
+    def test_solve_over_f101(self, sub, data):
+        s = len(sub)
+        full = ([[0] * s] * s if data is None else data.draw(st.lists(
+            st.lists(entries((1, 2, 3)), min_size=s + 2, max_size=s + 2),
+            min_size=s, max_size=s)))
+        singular = residue(laplace_det([[Fraction(x) for x in row]
+                                        for row in sub]), 101) == 0
+        if singular:
+            with pytest.raises(SingularMatrixError):
+                solve_left_inverse_times(sub, full, F101)
+            return
+        got = solve_left_inverse_times(sub, full, F101)
+        for i in range(s):
+            for j in range(len(full[0])):
+                acc = sum(residue(sub[i][k], 101) * got[k][j].v
+                          for k in range(s))
+                assert acc % 101 == residue(full[i][j], 101)
 
 
 class TestSolve:
